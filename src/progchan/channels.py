@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, DimensionError
 from .matops import (
+    DECOMP_TOL,
     as_matrix,
     assert_density,
     assert_unitary,
@@ -97,17 +98,42 @@ def channel_fidelity(u, channel: KrausChannel) -> float:
     return float(min(max(total / 4.0, 0.0), 1.0))
 
 
-def program_overlap(u, v, sigma) -> float:
+def _assert_density_stack(sigmas, tol: float = DECOMP_TOL) -> np.ndarray:
+    """assert_density for every state of an (n, 2, 2) stack, one batched eigvalsh."""
+    sigmas = np.asarray(sigmas, dtype=complex)
+    if sigmas.ndim != 3 or sigmas.shape[1:] != (2, 2):
+        raise DimensionError(f"program state stack must have shape (n, 2, 2), got {sigmas.shape}")
+    adjoint = sigmas.conj().swapaxes(1, 2)
+    trace = np.trace(sigmas, axis1=1, axis2=2)
+    ok = np.all(np.abs(sigmas - adjoint) <= tol, axis=(1, 2))
+    ok &= (np.abs(trace.real - 1.0) <= tol) & (np.abs(trace.imag) <= tol)
+    if ok.all():
+        ok = np.linalg.eigvalsh((sigmas + adjoint) / 2)[:, 0] >= -tol
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ContractError(
+            f"program state {bad[0]} is not a valid density matrix at tolerance {tol:g}"
+        )
+    return sigmas
+
+
+def program_overlap(u, v, sigma):
     """Fidelity of the programmed channel for a given program state.
 
     Evaluates (1/4) Tr[sigma^T S(U,V)^dag S(U,V)], which equals the Kraus-sum
     fidelity of the channel produced by (v, sigma) without extracting Kraus
-    operators.
+    operators.  ``sigma`` may also be an (n, 2, 2) stack of program states;
+    S is then built once and an array of n fidelities is returned.
     """
-    sigma = assert_density(sigma, name="program state")
+    stacked = np.ndim(sigma) == 3
+    if stacked:
+        sigma = _assert_density_stack(sigma)
+    else:
+        sigma = assert_density(sigma, name="program state")
     s = s_operator(u, v)
-    value = np.trace(sigma.T @ s.conj().T @ s).real / 4.0
-    return float(min(max(value, 0.0), 1.0))
+    product = np.swapaxes(sigma, -1, -2) @ s.conj().T @ s
+    values = np.clip(np.trace(product, axis1=-2, axis2=-1).real / 4.0, 0.0, 1.0)
+    return values if stacked else float(values)
 
 
 def distance(f: float) -> float:

@@ -267,11 +267,7 @@ def _cmd_scan(args) -> int:
                         continue
                     t = hadamard_t(theta_from_alpha([a1, a2, a3]))
                     w = t.moduli**2
-                    writer.writerow(
-                        [repr(a1), repr(a2), repr(a3)]
-                        + [repr(float(x)) for x in w]
-                        + [repr(float(w.min() / 4.0))]
-                    )
+                    writer.writerow([repr(float(x)) for x in (a1, a2, a3, *w, w.min() / 4.0)])
     return 0
 
 

@@ -2,7 +2,7 @@
 
 The compiled Cython kernel is preferred; the numpy fallback is used when the
 extension is unavailable.  Both expose the same fidelity_batch contract and
-agree to rounding; see benchmarks/bench_kernels.py for a comparison.
+agree to rounding; ``perfbench/run.py --trace 1`` compares them.
 """
 
 from __future__ import annotations

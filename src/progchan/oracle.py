@@ -14,7 +14,9 @@ import numpy as np
 
 from .channels import program_overlap
 from .errors import ContractError
-from .kernels import device_parts, fidelity_from_bloch, fidelity_from_bloch_batch
+# fidelity_from_bloch is unused here but stays bound: perfbench/tracing.py
+# rebinds the kernel entry points in this module by name.
+from .kernels import device_parts, fidelity_from_bloch, fidelity_from_bloch_batch  # noqa: F401
 from .minimax import worst_case_fidelity
 
 # Signed axis points +-e_j; the closed-form minimum always sits on one of
@@ -58,12 +60,26 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
     return q * (np.abs(diag) / diag)
 
 
+def _random_densities(rng, n: int) -> np.ndarray:
+    """n mixed qubit states, each the partial trace of a Haar-random two-qubit pure state.
+
+    One draw of shape (n, 2, 4) consumes the generator exactly as n
+    single-state draws (real parts, then imaginary parts) would.
+    """
+    gauss = rng.normal(size=(n, 2, 4))
+    psi = gauss[:, 0] + 1j * gauss[:, 1]
+    # |psi|^2 as row dot products of the real and imaginary parts, the same
+    # dot calls np.linalg.norm(psi) makes for one vector, so each state rounds
+    # exactly as a per-state normalisation would
+    re, im = psi.real[:, None, :], psi.imag[:, None, :]
+    psi /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+    joint = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(n, 2, 2, 2, 2)
+    return np.einsum("nijkj->nik", joint)
+
+
 def random_density(rng) -> np.ndarray:
     """Mixed qubit state from partial-tracing a Haar-random two-qubit pure state."""
-    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-    psi /= np.linalg.norm(psi)
-    joint = np.outer(psi, psi.conj()).reshape(2, 2, 2, 2)
-    return np.einsum("ijkj->ik", joint)
+    return _random_densities(rng, 1)[0]
 
 
 def sample_su2(config: ScanConfig) -> np.ndarray:
@@ -79,7 +95,8 @@ def sample_su2(config: ScanConfig) -> np.ndarray:
         return AXIS_POINTS[: config.resolution].copy()
     offset = np.random.default_rng(config.seed).random(3)
     idx = np.arange(1, n_seq + 1)[:, None]
-    u = np.mod(offset + idx * _ALPHAS, 1.0)
+    u = offset + idx * _ALPHAS
+    u -= np.floor(u)  # frac(), exact for these non-negative arguments
     azim = 2 * np.pi * u[:, 1]
     polar = 2 * np.pi * u[:, 2]
     r_low = np.sqrt(1.0 - u[:, 0])
@@ -105,50 +122,65 @@ def _tangent_frame(n: np.ndarray) -> np.ndarray:
     return np.array(frame)
 
 
-def _polish(parts, n0: np.ndarray, steps: int, scale: float) -> tuple[float, np.ndarray, int]:
-    """Nelder-Mead reflections in a tangent chart, reprojected to S^3."""
-    frame = _tangent_frame(n0)
+def _polish(
+    parts, starts: np.ndarray, steps: int, scale: float
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Nelder-Mead reflections in a tangent chart at each start, reprojected to S^3.
+
+    All starts advance in lock-step: each makes the moves of its own serial
+    simplex, and one step costs at most three batched kernel calls (reflect,
+    then expand or contract, then shrink).  Returns each start's best value
+    and point, and the total number of evaluations.
+    """
+    frames = np.array([_tangent_frame(n0) for n0 in starts])
+    rows = np.arange(len(starts))
     evaluations = 0
 
-    def point(x):
-        p = n0 + x @ frame
-        return p / np.linalg.norm(p)
+    def point(idx, x):
+        p = starts[idx] + np.einsum("ki,kij->kj", x, frames[idx])
+        return p / np.sqrt(np.einsum("kj,kj->k", p, p))[:, None]
 
-    def objective(x):
+    def objective(idx, x):
         nonlocal evaluations
-        evaluations += 1
-        return fidelity_from_bloch(parts, point(x))
+        evaluations += len(idx)
+        return fidelity_from_bloch_batch(parts, point(idx, x))
 
-    simplex = [np.zeros(3)] + [scale * e for e in np.eye(3)]
-    values = [objective(x) for x in simplex]
+    simplex = np.zeros((len(starts), 4, 3))
+    simplex[:, 1:] = scale * np.eye(3)
+    values = objective(np.repeat(rows, 4), simplex.reshape(-1, 3)).reshape(-1, 4)
     for _ in range(steps):
-        order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
-        f_ref = objective(reflected)
-        if f_ref < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_exp = objective(expanded)
-            if f_exp < f_ref:
-                simplex[-1], values[-1] = expanded, f_exp
-            else:
-                simplex[-1], values[-1] = reflected, f_ref
-        elif f_ref < values[-2]:
-            simplex[-1], values[-1] = reflected, f_ref
-        else:
-            contracted = centroid + 0.5 * (worst - centroid)
-            f_con = objective(contracted)
-            if f_con < values[-1]:
-                simplex[-1], values[-1] = contracted, f_con
-            else:
-                for i in range(1, len(simplex)):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = objective(simplex[i])
-    best = int(np.argmin(values))
-    return float(values[best]), point(simplex[best]), evaluations
+        order = np.argsort(values, axis=1)
+        simplex = simplex[rows[:, None], order]
+        values = values[rows[:, None], order]
+        centroid = simplex[:, :-1].sum(axis=1) / 3.0
+        worst = simplex[:, -1]
+        new_x = centroid + (centroid - worst)
+        new_f = objective(rows, new_x)
+        expand = new_f < values[:, 0]
+        contract = ~(expand | (new_f < values[:, -2]))
+        moving = np.flatnonzero(expand | contract)
+        shrink = np.zeros(len(starts), dtype=bool)
+        if moving.size:
+            step = np.where(expand[moving], 2.0, -0.5)[:, None]
+            trial_x = centroid[moving] + step * (centroid[moving] - worst[moving])
+            trial_f = objective(moving, trial_x)
+            # expansion competes with the reflection, contraction with the worst vertex
+            bar = np.where(expand[moving], new_f[moving], values[moving, -1])
+            take = trial_f < bar
+            new_x[moving[take]] = trial_x[take]
+            new_f[moving[take]] = trial_f[take]
+            shrink[moving[~take & contract[moving]]] = True
+        keep = ~shrink
+        simplex[keep, -1] = new_x[keep]
+        values[keep, -1] = new_f[keep]
+        if shrink.any():
+            idx = np.flatnonzero(shrink)
+            best = simplex[idx, :1]
+            simplex[idx, 1:] = best + 0.5 * (simplex[idx, 1:] - best)
+            shrunk = objective(np.repeat(idx, 3), simplex[idx, 1:].reshape(-1, 3))
+            values[idx, 1:] = shrunk.reshape(-1, 3)
+    best = np.argmin(values, axis=1)
+    return values[rows, best], point(rows, simplex[rows, best]), evaluations
 
 
 def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
@@ -182,11 +214,11 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
                 candidates.append(p.copy())
             if len(candidates) == 4:
                 break
-        for start in candidates:
-            f_loc, n_loc, used = _polish(parts, start, config.refine_steps, scale)
-            evaluations += used
-            if f_loc < f_min:
-                f_min, worst = f_loc, n_loc
+        f_loc, n_loc, used = _polish(parts, np.array(candidates), config.refine_steps, scale)
+        evaluations += used
+        for f, n in zip(f_loc, n_loc):
+            if f < f_min:
+                f_min, worst = float(f), n
 
     reference = worst_case_fidelity(v).fidelity
     return ScanResult(
@@ -201,10 +233,10 @@ def sigma_dominance_check(u, v, n: int, seed: int = 0) -> float:
     """Max programmed fidelity over n sampled mixed programs.
 
     The sampled maximum never exceeds the analytic optimum fidelity_uv(u, v)
-    beyond rounding; the analytic program state itself attains it.
+    beyond rounding; the analytic program state itself attains it.  All n
+    programs are drawn and evaluated as one stack.
     """
-    rng = np.random.default_rng(seed)
-    top = 0.0
-    for _ in range(n):
-        top = max(top, program_overlap(u, v, random_density(rng)))
-    return top
+    if n < 0:
+        raise ContractError(f"sample count must be >= 0, got {n}")
+    sigmas = _random_densities(np.random.default_rng(seed), n)
+    return float(np.max(program_overlap(u, v, sigmas), initial=0.0))

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from progchan import PAULI, kron, theta_from_alpha
+from progchan import PAULI, kron, program_overlap, theta_from_alpha
 
 
 def brute_partial_trace(m, subsystem):
@@ -61,3 +61,78 @@ def spectral_kraus_family(alpha, sigma):
                 acc += np.exp(1j * theta[k]) * psi @ np.outer(un, um.conj()) @ psi.conj().T
             ops.append(acc * np.sqrt(max(lam[m], 0.0)))
     return ops
+
+
+def sigma_dominance_loop(u, v, n, seed=0):
+    """Per-sample sigma check: draw one program at a time and keep the running max.
+
+    Each program is partial-traced from a Haar-random two-qubit pure state,
+    drawn as four real then four imaginary Gaussians.
+    """
+    rng = np.random.default_rng(seed)
+    top = 0.0
+    for _ in range(n):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        sigma = np.einsum("ijkj->ik", np.outer(psi, psi.conj()).reshape(2, 2, 2, 2))
+        top = max(top, program_overlap(u, v, sigma))
+    return top
+
+
+def serial_polish(objective, n0, steps, scale):
+    """Single-start Nelder-Mead in a tangent chart at n0, one objective call per point.
+
+    ``objective`` maps one unit Bloch vector to a float.  Returns (best value,
+    best Bloch point, evaluations).
+    """
+    order = np.argsort(np.abs(n0))
+    frame = []
+    for k in order[:3]:
+        e = np.zeros(4)
+        e[k] = 1.0
+        e -= (e @ n0) * n0
+        for t in frame:
+            e -= (e @ t) * t
+        frame.append(e / np.linalg.norm(e))
+    frame = np.array(frame)
+    evaluations = 0
+
+    def point(x):
+        p = n0 + x @ frame
+        return p / np.linalg.norm(p)
+
+    def chart_objective(x):
+        nonlocal evaluations
+        evaluations += 1
+        return objective(point(x))
+
+    simplex = [np.zeros(3)] + [scale * e for e in np.eye(3)]
+    values = [chart_objective(x) for x in simplex]
+    for _ in range(steps):
+        order = np.argsort(values)
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        centroid = np.mean(simplex[:-1], axis=0)
+        worst = simplex[-1]
+        reflected = centroid + (centroid - worst)
+        f_ref = chart_objective(reflected)
+        if f_ref < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            f_exp = chart_objective(expanded)
+            if f_exp < f_ref:
+                simplex[-1], values[-1] = expanded, f_exp
+            else:
+                simplex[-1], values[-1] = reflected, f_ref
+        elif f_ref < values[-2]:
+            simplex[-1], values[-1] = reflected, f_ref
+        else:
+            contracted = centroid + 0.5 * (worst - centroid)
+            f_con = chart_objective(contracted)
+            if f_con < values[-1]:
+                simplex[-1], values[-1] = contracted, f_con
+            else:
+                for i in range(1, 4):
+                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                    values[i] = chart_objective(simplex[i])
+    best = int(np.argmin(values))
+    return float(values[best]), point(simplex[best]), evaluations

@@ -182,8 +182,12 @@ class TestScanVerb:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "a1,a2,a3,t0_sq,t1_sq,t2_sq,t3_sq,fidelity"
         assert len(lines) > 3
-        last = lines[-1].split(",")
-        assert len(last) == 8
+        rows = [line.split(",") for line in lines[1:]]
+        assert all(len(row) == 8 for row in rows)
+        # every cell is a plain float literal, never a numpy scalar repr
+        cells = [float(cell) for row in rows for cell in row]
+        assert all(np.isfinite(cells))
+        last = rows[-1]
         # final row is the chamber corner alpha = (pi/4, pi/4, pi/4): F = 1/4
         assert float(last[-1]) == pytest.approx(0.25, abs=1e-12)
 

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
-from helpers import random_chamber_alpha
+from helpers import random_bloch, random_chamber_alpha, serial_polish, sigma_dominance_loop
 
 from progchan import (
     ContractError,
+    DimensionError,
     ScanConfig,
     canonical_gate,
     fidelity_uv,
@@ -11,10 +14,14 @@ from progchan import (
     minimax_scan,
     optimal_interaction,
     pauli,
+    program_overlap,
     random_density,
     sample_su2,
     sigma_dominance_check,
 )
+from progchan import oracle
+from progchan.kernels import device_parts, fidelity_from_bloch
+from progchan.oracle import _ALPHAS, AXIS_POINTS, _polish, _random_densities
 
 
 class TestSampleSU2:
@@ -43,6 +50,25 @@ class TestSampleSU2:
         a = sample_su2(ScanConfig(resolution=1000, seed=1))
         b = sample_su2(ScanConfig(resolution=1000, seed=2))
         assert np.max(np.abs(a[8:] - b[8:])) > 1e-3
+
+    def test_matches_mod_formula(self):
+        # reference: the recurrence written with np.mod, bit for bit
+        for seed, resolution in ((0, 100_000), (5, 2000), (11, 109)):
+            pts = sample_su2(ScanConfig(resolution=resolution, seed=seed))
+            offset = np.random.default_rng(seed).random(3)
+            idx = np.arange(1, resolution - len(AXIS_POINTS) + 1)[:, None]
+            u = np.mod(offset + idx * _ALPHAS, 1.0)
+            azim, polar = 2 * np.pi * u[:, 1], 2 * np.pi * u[:, 2]
+            r_low, r_high = np.sqrt(1.0 - u[:, 0]), np.sqrt(u[:, 0])
+            expected = np.column_stack(
+                [
+                    r_low * np.sin(azim),
+                    r_low * np.cos(azim),
+                    r_high * np.sin(polar),
+                    r_high * np.cos(polar),
+                ]
+            )
+            np.testing.assert_array_equal(pts[len(AXIS_POINTS) :], expected)
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
@@ -94,6 +120,18 @@ class TestMinimaxScan:
         assert polished.f_min <= plain.f_min + 1e-15
         assert polished.evaluations > plain.evaluations
 
+    def test_repeated_haar_scans_identical(self):
+        rng = np.random.default_rng(21)
+        for seed in range(3):
+            v = haar_unitary(4, rng)
+            cfg = ScanConfig(resolution=3000, refine_steps=60, seed=seed)
+            first = minimax_scan(v, cfg)
+            minimax_scan(haar_unitary(4, rng), cfg)  # an unrelated scan in between
+            again = minimax_scan(v, cfg)
+            assert again.f_min == first.f_min
+            assert again.evaluations == first.evaluations
+            np.testing.assert_array_equal(again.worst_bloch, first.worst_bloch)
+
     def test_trace_csv(self, tmp_path):
         path = tmp_path / "trace.csv"
         minimax_scan(np.eye(4), ScanConfig(resolution=300, refine_steps=0, seed=0), trace_path=path)
@@ -104,6 +142,39 @@ class TestMinimaxScan:
     def test_non_unitary_rejected(self):
         with pytest.raises(ContractError):
             minimax_scan(np.ones((4, 4)), ScanConfig(resolution=200, seed=0))
+
+
+class TestLockStepPolish:
+    def test_matches_serial_reference_haar(self):
+        rng = np.random.default_rng(13)
+        for _ in range(12):
+            parts = device_parts(haar_unitary(4, rng))
+            starts = np.array([random_bloch(rng) for _ in range(4)])
+            values, points, evaluations = _polish(parts, starts, 200, 0.03)
+            objective = functools.partial(fidelity_from_bloch, parts)
+            reference = [serial_polish(objective, n0, 200, 0.03) for n0 in starts]
+            np.testing.assert_allclose(values, [r[0] for r in reference], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.linalg.norm(points, axis=1), 1.0, atol=1e-14)
+            # every start evaluates 4 vertices and then 1 to 5 points per step
+            assert 4 * 4 + 200 * 4 <= evaluations <= 4 * 4 + 200 * 4 * 5
+
+    @pytest.mark.parametrize("n_starts, seed", [(1, 0), (4, 0), (4, 1), (3, 2)])
+    def test_same_moves_as_serial_on_rugged_objective(self, monkeypatch, n_starts, seed):
+        # ripples shorter than the simplex make contractions fail, so this
+        # objective reaches the shrink step that smooth fidelities rarely do
+        target = np.array([0.1, -0.7, 0.5, 0.5])  # unit norm
+
+        def rugged(parts, ns):
+            return np.abs(ns - target).max(axis=1) + 0.1 * np.sin(300.0 * ns[:, 0])
+
+        monkeypatch.setattr(oracle, "fidelity_from_bloch_batch", rugged)
+        rng = np.random.default_rng(seed)
+        starts = np.array([random_bloch(rng) for _ in range(n_starts)])
+        values, points, evaluations = _polish(None, starts, 20, 0.05)
+        reference = [serial_polish(lambda n: rugged(None, n[None])[0], n0, 20, 0.05) for n0 in starts]
+        np.testing.assert_allclose(values, [r[0] for r in reference], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(points, [r[1] for r in reference], rtol=0, atol=1e-12)
+        assert evaluations == sum(r[2] for r in reference)
 
 
 class TestSigmaDominance:
@@ -125,6 +196,57 @@ class TestSigmaDominance:
             assert sigma_dominance_check(u, v, 500, seed=trial) <= f + 1e-10
 
 
+    def test_matches_per_sample_loop(self):
+        rng = np.random.default_rng(17)
+        devices = [optimal_interaction(1, 1), canonical_gate([0.3, 0.2, 0.1])]
+        devices += [haar_unitary(4, rng) for _ in range(3)]
+        for seed, v in enumerate(devices):
+            u = haar_unitary(2, rng)
+            for n in (1, 7, 300):
+                batched = sigma_dominance_check(u, v, n, seed=seed)
+                assert batched == pytest.approx(sigma_dominance_loop(u, v, n, seed=seed), abs=1e-15)
+
+    def test_no_samples(self):
+        assert sigma_dominance_check(np.eye(2), np.eye(4), 0) == 0.0
+        with pytest.raises(ContractError):
+            sigma_dominance_check(np.eye(2), np.eye(4), -1)
+
+    def test_invalid_target_rejected(self):
+        with pytest.raises(ContractError):
+            sigma_dominance_check(np.ones((2, 2)), np.eye(4), 10)
+
+
+class TestProgramOverlapStack:
+    def test_stack_matches_single(self):
+        rng = np.random.default_rng(19)
+        u, v = haar_unitary(2, rng), haar_unitary(4, rng)
+        sigmas = np.array([random_density(rng) for _ in range(20)])
+        values = program_overlap(u, v, sigmas)
+        assert values.shape == (20,)
+        single = [program_overlap(u, v, sigma) for sigma in sigmas]
+        np.testing.assert_allclose(values, single, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[0.5, 0.3], [0.1, 0.5]]),  # not Hermitian
+            np.array([[0.6, 0.0], [0.0, 0.6]]),  # trace 1.2
+            np.array([[1.2, 0.0], [0.0, -0.2]]),  # negative eigenvalue
+            np.array([[np.nan, 0.0], [0.0, 0.5]]),
+        ],
+    )
+    def test_invalid_program_in_stack_raises(self, bad):
+        rng = np.random.default_rng(23)
+        sigmas = np.array([random_density(rng) for _ in range(5)])
+        sigmas[3] = bad
+        with pytest.raises(ContractError, match="program state 3"):
+            program_overlap(np.eye(2), np.eye(4), sigmas)
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(DimensionError):
+            program_overlap(np.eye(2), np.eye(4), np.zeros((3, 4, 4)))
+
+
 class TestRandomDensity:
     def test_valid_states(self):
         rng = np.random.default_rng(9)
@@ -132,3 +254,9 @@ class TestRandomDensity:
             rho = random_density(rng)
             assert abs(np.trace(rho).real - 1.0) < 1e-12
             assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+    def test_batch_is_sequential_stream(self):
+        batch = _random_densities(np.random.default_rng(4), 30)
+        rng = np.random.default_rng(4)
+        single = np.array([random_density(rng) for _ in range(30)])
+        np.testing.assert_allclose(batch, single, rtol=0, atol=1e-15)
