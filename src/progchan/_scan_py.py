@@ -1,7 +1,7 @@
-"""Pure-Python (numpy) implementation of the scan inner loop.
+"""The scan inner loop, vectorized in numpy.
 
-Mirrors the compiled kernel in ``_scan_kernel.pyx``; selected automatically
-when the extension was not built.
+For a fixed device the fidelity at Bloch point n is the top eigenvalue of
+S^dag S over 4, with S(n) = sum_mu n_mu K_mu; at 2x2 it has a closed form.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from .matops import (
     as_matrix,
     assert_density,
     assert_unitary,
+    density_mask,
     hermitian_eig,
     kron,
     partial_trace,
@@ -99,17 +100,11 @@ def channel_fidelity(u, channel: KrausChannel) -> float:
 
 
 def _assert_density_stack(sigmas, tol: float = DECOMP_TOL) -> np.ndarray:
-    """assert_density for every state of an (n, 2, 2) stack, one batched eigvalsh."""
+    """assert_density for every state of an (n, 2, 2) stack."""
     sigmas = np.asarray(sigmas, dtype=complex)
     if sigmas.ndim != 3 or sigmas.shape[1:] != (2, 2):
         raise DimensionError(f"program state stack must have shape (n, 2, 2), got {sigmas.shape}")
-    adjoint = sigmas.conj().swapaxes(1, 2)
-    trace = np.trace(sigmas, axis1=1, axis2=2)
-    ok = np.all(np.abs(sigmas - adjoint) <= tol, axis=(1, 2))
-    ok &= (np.abs(trace.real - 1.0) <= tol) & (np.abs(trace.imag) <= tol)
-    if ok.all():
-        ok = np.linalg.eigvalsh((sigmas + adjoint) / 2)[:, 0] >= -tol
-    bad = np.flatnonzero(~ok)
+    bad = np.flatnonzero(~density_mask(sigmas, tol))
     if bad.size:
         raise ContractError(
             f"program state {bad[0]} is not a valid density matrix at tolerance {tol:g}"

@@ -1,29 +1,21 @@
-"""Backend selection for the scan inner loop.
+"""Entry points to the scan inner loop.
 
-The compiled Cython kernel is preferred; the numpy fallback is used when the
-extension is unavailable.  Both expose the same fidelity_batch contract and
-agree to rounding; ``perfbench/run.py --trace 1`` compares them.
+The loop itself is the vectorized numpy kernel ``_scan_py.fidelity_batch``;
+``perfbench/run.py --trace 1`` times it layer by layer.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import _scan_py
 from .matops import assert_unitary
 from .pauli import PAULI
 
-try:
-    from . import _scan_kernel as _impl
-
-    BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on the build environment
-    from . import _scan_py as _impl
-
-    BACKEND = "python"
-
 
 def backend_name() -> str:
-    return BACKEND
+    """Name of the scan kernel, recorded with every benchmark result."""
+    return "python"
 
 
 def device_parts(v) -> np.ndarray:
@@ -39,14 +31,14 @@ def device_parts(v) -> np.ndarray:
     basis = np.empty((4, 2, 2), dtype=complex)
     basis[0] = PAULI[0]
     basis[1:] = 1j * PAULI[1:]
-    return np.ascontiguousarray(np.einsum("mab,ajbl->mjl", basis, vc))
+    return np.einsum("mab,ajbl->mjl", basis, vc)
 
 
 def fidelity_from_bloch_batch(parts, ns) -> np.ndarray:
     """Best-program fidelity at each Bloch point; parts from device_parts()."""
-    ns = np.ascontiguousarray(np.atleast_2d(np.asarray(ns, dtype=float)))
+    ns = np.atleast_2d(np.asarray(ns, dtype=float))
     out = np.empty(ns.shape[0], dtype=float)
-    _impl.fidelity_batch(np.ascontiguousarray(parts), ns, out)
+    _scan_py.fidelity_batch(parts, ns, out)
     return out
 
 

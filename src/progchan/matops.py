@@ -83,15 +83,26 @@ def is_unitary(m, tol: float = DECOMP_TOL) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)
 
 
+def density_mask(ms, tol: float = DECOMP_TOL) -> np.ndarray:
+    """Per-state test over an (n, d, d) stack: Hermitian, unit trace and
+    positive semidefinite (to -tol).
+
+    The eigenvalues are computed, in one batched call, only when every state
+    passes the cheap tests, so a non-finite entry never reaches eigvalsh.
+    """
+    ms = np.asarray(ms, dtype=complex)
+    adjoint = ms.conj().swapaxes(-1, -2)
+    trace = np.trace(ms, axis1=-2, axis2=-1)
+    ok = (np.abs(ms - adjoint) <= tol).all(axis=(-2, -1))
+    ok &= (np.abs(trace.real - 1.0) <= tol) & (np.abs(trace.imag) <= tol)
+    if ok.all():
+        ok = np.linalg.eigvalsh((ms + adjoint) / 2)[..., 0] >= -tol
+    return ok
+
+
 def is_density(m, tol: float = DECOMP_TOL) -> bool:
     """Hermitian, positive semidefinite (to -tol) and unit trace."""
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tol):
-        return False
-    if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
-        return False
-    evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    return bool(evals.min() >= -tol)
+    return bool(density_mask(np.asarray(m, dtype=complex)[None], tol)[0])
 
 
 def assert_unitary(m, tol: float = DECOMP_TOL, name: str = "matrix") -> np.ndarray:

@@ -151,6 +151,14 @@ def optimal_interaction(sx_sign: int, sz_sign: int) -> np.ndarray:
     return canonical_gate([sx_sign * np.pi / 4, 0.0, sz_sign * np.pi / 4])
 
 
+def _covariance_routes(u, w1, w2, w3, w4, v) -> tuple[np.ndarray, np.ndarray]:
+    """S(U, (W1 x W2) V (W3 x W4)) and W2^* S(W1^dag U W3^dag, V) W4^*, which
+    local-unitary covariance makes equal."""
+    direct = s_operator(u, kron(w1, w2) @ v @ kron(w3, w4))
+    routed = np.conj(w2) @ s_operator(np.conj(w1).T @ u @ np.conj(w3).T, v) @ np.conj(w4)
+    return direct, routed
+
+
 def covariance_transform(u, w1, w2, w3, w4, v) -> np.ndarray:
     """S of the locally dressed device, checked against the covariance rule.
 
@@ -160,10 +168,7 @@ def covariance_transform(u, w1, w2, w3, w4, v) -> np.ndarray:
     """
     for name, w in (("w1", w1), ("w2", w2), ("w3", w3), ("w4", w4)):
         assert_unitary(w, name=name)
-    dressed = kron(w1, w2) @ v @ kron(w3, w4)
-    direct = s_operator(u, dressed)
-    inner = s_operator(np.conj(w1).T @ u @ np.conj(w3).T, v)
-    routed = np.conj(w2) @ inner @ np.conj(w4)
+    direct, routed = _covariance_routes(u, w1, w2, w3, w4, v)
     gap = float(np.max(np.abs(direct - routed)))
     if gap > 1e-12:
         raise DecompositionError("covariance routes disagree", gap)

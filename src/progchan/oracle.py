@@ -42,6 +42,10 @@ class ScanConfig:
             raise ContractError(f"resolution must be >= 100, got {self.resolution}")
         if self.refine_steps < 0:
             raise ContractError(f"refine_steps must be >= 0, got {self.refine_steps}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
+        if self.sigma_samples < 0:
+            raise ContractError(f"sigma_samples must be >= 0, got {self.sigma_samples}")
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,12 @@ class TestCircuitVerb:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize("alpha", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+    def test_non_finite_alpha(self, files, capsys, alpha):
+        code, out, err = run(capsys, "circuit", "--alpha", alpha)
+        assert code == 2 and out == ""
+        assert "must be finite" in err
+
 
 class TestVerify:
     def test_all_passes(self, files, capsys):
@@ -172,6 +178,27 @@ class TestOracleVerb:
         code, out, _ = run(capsys, "oracle", "--v", files["v_id"], "--resolution", "500", "--refine", "0")
         assert code == 0
         assert json.loads(out)["seed"] == 17
+
+
+    def test_negative_sigma_samples(self, files, capsys):
+        code, out, err = run(capsys, "oracle", "--v", files["v_id"], "--sigma-samples", "-3")
+        assert code == 2 and out == ""
+        assert "sigma_samples must be >= 0" in err
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("verb", ["oracle", "verify"])
+    def test_negative_flag(self, files, capsys, verb):
+        inputs = ["--v", files["v_id"]] if verb == "oracle" else []
+        code, out, err = run(capsys, verb, *inputs, "--seed", "-1")
+        assert code == 2 and out == ""
+        assert "must be >= 0, got -1" in err
+
+    def test_negative_env(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("PROGCHAN_SEED", "-4")
+        code, out, err = run(capsys, "verify")
+        assert code == 2 and out == ""
+        assert "PROGCHAN_SEED must be >= 0, got -4" in err
 
 
 class TestScanVerb:

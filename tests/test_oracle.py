@@ -75,6 +75,10 @@ class TestSampleSU2:
             ScanConfig(resolution=10)
         with pytest.raises(ContractError):
             ScanConfig(refine_steps=-1)
+        with pytest.raises(ContractError, match="seed must be >= 0"):
+            ScanConfig(seed=-1)
+        with pytest.raises(ContractError, match="sigma_samples must be >= 0"):
+            ScanConfig(sigma_samples=-3)
 
 
 class TestMinimaxScan:
@@ -241,6 +245,8 @@ class TestProgramOverlapStack:
         sigmas[3] = bad
         with pytest.raises(ContractError, match="program state 3"):
             program_overlap(np.eye(2), np.eye(4), sigmas)
+        with pytest.raises(ContractError, match="program state is not"):
+            program_overlap(np.eye(2), np.eye(4), bad)
 
     def test_stack_shape_checked(self):
         with pytest.raises(DimensionError):
