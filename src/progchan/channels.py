@@ -10,17 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
-from .matops import (
-    DECOMP_TOL,
-    as_matrix,
-    assert_density,
-    assert_unitary,
-    density_mask,
-    hermitian_eig,
-    kron,
-    partial_trace,
-)
+from .errors import ContractError
+from .matops import as_matrix, assert_density, assert_unitary, hermitian_eig, kron, partial_trace
 from .minimax import s_operator
 
 #: Choi eigenvalues below this are treated as zero rank
@@ -61,7 +52,7 @@ def _programmed_action(v, sigma, mat) -> np.ndarray:
 
 def apply_programmed(v, sigma, rho) -> np.ndarray:
     """Run the device once: Tr_2[ V (rho x sigma) V^dag ]."""
-    v = assert_unitary(v, name="joint unitary")
+    v = assert_unitary(v, 4, name="joint unitary")
     sigma = assert_density(sigma, name="program state")
     rho = assert_density(rho, name="input state")
     return _programmed_action(v, sigma, rho)
@@ -74,7 +65,7 @@ def program_channel(v, sigma) -> KrausChannel:
     Choi matrix is eigendecomposed, and eigenpairs above CHOI_RANK_CUTOFF
     become Kraus operators.
     """
-    v = assert_unitary(v, name="joint unitary")
+    v = assert_unitary(v, 4, name="joint unitary")
     sigma = assert_density(sigma, name="program state")
     choi = np.zeros((4, 4), dtype=complex)
     for i in range(2):
@@ -92,24 +83,9 @@ def program_channel(v, sigma) -> KrausChannel:
 
 def channel_fidelity(u, channel: KrausChannel) -> float:
     """Overlap of a channel with a target unitary: (1/4) sum_i |Tr[K_i^dag U]|^2."""
-    u = assert_unitary(u, name="target unitary")
-    if u.shape != (2, 2):
-        raise ContractError("channel_fidelity target must be a 2x2 unitary")
+    u = assert_unitary(u, 2, name="target unitary")
     total = sum(abs(np.trace(k.conj().T @ u)) ** 2 for k in channel.ops)
     return float(min(max(total / 4.0, 0.0), 1.0))
-
-
-def _assert_density_stack(sigmas, tol: float = DECOMP_TOL) -> np.ndarray:
-    """assert_density for every state of an (n, 2, 2) stack."""
-    sigmas = np.asarray(sigmas, dtype=complex)
-    if sigmas.ndim != 3 or sigmas.shape[1:] != (2, 2):
-        raise DimensionError(f"program state stack must have shape (n, 2, 2), got {sigmas.shape}")
-    bad = np.flatnonzero(~density_mask(sigmas, tol))
-    if bad.size:
-        raise ContractError(
-            f"program state {bad[0]} is not a valid density matrix at tolerance {tol:g}"
-        )
-    return sigmas
 
 
 def program_overlap(u, v, sigma):
@@ -120,15 +96,11 @@ def program_overlap(u, v, sigma):
     operators.  ``sigma`` may also be an (n, 2, 2) stack of program states;
     S is then built once and an array of n fidelities is returned.
     """
-    stacked = np.ndim(sigma) == 3
-    if stacked:
-        sigma = _assert_density_stack(sigma)
-    else:
-        sigma = assert_density(sigma, name="program state")
+    sigma = assert_density(sigma, name="program state")
     s = s_operator(u, v)
     product = np.swapaxes(sigma, -1, -2) @ s.conj().T @ s
     values = np.clip(np.trace(product, axis1=-2, axis2=-1).real / 4.0, 0.0, 1.0)
-    return values if stacked else float(values)
+    return values if sigma.ndim == 3 else float(values)
 
 
 def distance(f: float) -> float:

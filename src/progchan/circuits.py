@@ -53,7 +53,7 @@ class Gate:
         elif self.kind == "local":
             if len(self.wires) != 1 or self.matrix is None:
                 raise ContractError("local needs one wire and a matrix")
-            object.__setattr__(self, "matrix", assert_unitary(self.matrix, name="local gate"))
+            object.__setattr__(self, "matrix", assert_unitary(self.matrix, 2, name="local gate"))
         else:
             raise ContractError(f"unknown gate kind {self.kind!r}")
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import circuits, oracle
 from .channels import apply_programmed, program_channel, program_overlap
-from .errors import ContractError, DecompositionError, DimensionError, MatrixFormatError
+from .errors import ContractError, DecompositionError, MatrixFormatError
 from .matio import load_matrix, matrix_to_obj
 # s_operator is unused here but stays bound: perfbench/tracing.py rebinds it
 # in this module by name.
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except (MatrixFormatError, ContractError, DimensionError, FileNotFoundError) as exc:
+    except (MatrixFormatError, ContractError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except DecompositionError as exc:

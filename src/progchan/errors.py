@@ -1,12 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
 
-
-class DimensionError(ValueError):
-    """A matrix or vector has an unsupported shape (only 2x2 and 4x4 exist here)."""
+Input errors are ``ValueError``s: a ``ContractError`` is a broken
+precondition, and a ``DimensionError`` is the particular one of a matrix of
+the wrong shape.  Numerical failures are ``ArithmeticError``s.
+"""
 
 
 class ContractError(ValueError):
     """An input violates a declared precondition (non-unitary, non-density, ...)."""
+
+
+class DimensionError(ContractError):
+    """A matrix or vector has the wrong shape for its role (only 2x2 and 4x4 exist here)."""
 
 
 class MatrixFormatError(ValueError):

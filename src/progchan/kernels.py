@@ -24,9 +24,7 @@ def device_parts(v) -> np.ndarray:
     K_mu = Tr_1[(B_mu^T x I) v^*] with B_0 = I and B_k = i sigma_k, i.e. the
     Bloch-linearization of the S operator.
     """
-    v = assert_unitary(v, name="joint unitary")
-    if v.shape != (4, 4):
-        raise ValueError("device must be a 4x4 unitary")
+    v = assert_unitary(v, 4, name="joint unitary")
     vc = np.conj(v).reshape(2, 2, 2, 2)
     basis = np.empty((4, 2, 2), dtype=complex)
     basis[0] = PAULI[0]

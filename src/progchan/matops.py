@@ -1,7 +1,9 @@
-"""Dense complex matrix kernel for the fixed dimensions 2 and 4.
+"""Dense complex matrix kernel for the fixed dimensions 2 and 4, and the
+package's input contract.
 
 Everything downstream (states, gates, the S operator) lives in C^2 or C^4,
-so the helpers here deliberately reject anything larger.
+so the helpers here deliberately reject anything larger.  ``assert_unitary``
+and ``assert_density`` decide shape, unitarity and density for every caller.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ ALGEBRA_TOL = 1e-12
 DECOMP_TOL = 1e-10
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex array of dimension 2 or 4."""
+def as_matrix(m, name: str = "matrix", dims: tuple = SUPPORTED_DIMS) -> np.ndarray:
+    """Coerce to a square complex array whose dimension is one of ``dims``."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    if a.shape[0] not in SUPPORTED_DIMS:
-        raise DimensionError(f"{name} must be 2x2 or 4x4, got {a.shape[0]}x{a.shape[0]}")
+    if a.shape[0] not in dims:
+        allowed = " or ".join(f"{d}x{d}" for d in dims)
+        raise DimensionError(f"{name} must be {allowed}, got {a.shape[0]}x{a.shape[0]}")
     return a
 
 
@@ -45,10 +48,7 @@ def partial_trace(m, subsystem: int) -> np.ndarray:
     Index convention r = 2*i + j for the basis |i>|j>.  ``subsystem=1``
     removes the first factor, ``subsystem=2`` the second.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise DimensionError(f"partial_trace needs a 4x4 matrix, got shape {m.shape}")
-    r = m.reshape(2, 2, 2, 2)
+    r = as_matrix(m, "partial_trace operand", (4,)).reshape(2, 2, 2, 2)
     if subsystem == 1:
         return np.einsum("ijil->jl", r)
     if subsystem == 2:
@@ -105,17 +105,26 @@ def is_density(m, tol: float = DECOMP_TOL) -> bool:
     return bool(density_mask(np.asarray(m, dtype=complex)[None], tol)[0])
 
 
-def assert_unitary(m, tol: float = DECOMP_TOL, name: str = "matrix") -> np.ndarray:
-    m = as_matrix(m, name)
-    if not is_unitary(m, tol):
-        raise ContractError(f"{name} is not unitary at tolerance {tol:g}")
+def assert_unitary(m, dim: int, name: str = "matrix") -> np.ndarray:
+    """A dim x dim unitary, or DimensionError / ContractError naming ``name``."""
+    m = as_matrix(m, name, (dim,))
+    if not is_unitary(m, DECOMP_TOL):
+        raise ContractError(f"{name} is not unitary at tolerance {DECOMP_TOL:g}")
     return m
 
 
-def assert_density(m, tol: float = DECOMP_TOL, name: str = "state") -> np.ndarray:
-    m = as_matrix(m, name)
-    if not is_density(m, tol):
-        raise ContractError(f"{name} is not a valid density matrix at tolerance {tol:g}")
+def assert_density(m, name: str = "state") -> np.ndarray:
+    """One 2x2 density matrix or an (n, 2, 2) stack of them.
+
+    A bad state of a stack is named by its index ("program state 3 is not ...").
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (2, 2):
+        raise DimensionError(f"{name} must be 2x2 or an (n, 2, 2) stack, got shape {m.shape}")
+    bad = np.flatnonzero(~density_mask(m.reshape(-1, 2, 2)))
+    if bad.size:
+        which = f"{name} {bad[0]}" if m.ndim == 3 else name
+        raise ContractError(f"{which} is not a valid density matrix at tolerance {DECOMP_TOL:g}")
     return m
 
 

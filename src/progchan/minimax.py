@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DecompositionError
-from .matops import assert_unitary, hermitian_eig, kron, operator_norm
+from .matops import assert_unitary, hermitian_eig, kron
 from .pauli import PAULI, TVector, bloch_to_matrix, hadamard_t, matrix_to_bloch, wrap_phase
 
 # Columns j of SIGMA_BASIS are the unit vectors (sigma_j x I)|I>> / sqrt(2);
@@ -100,10 +100,8 @@ def s_operator(u, v) -> np.ndarray:
 
     For a canonical V this reduces to (1/2) sum_j e^{-i theta_j} sigma_j U sigma_j.
     """
-    u = assert_unitary(u, name="target unitary")
-    v = assert_unitary(v, name="joint unitary")
-    if u.shape != (2, 2) or v.shape != (4, 4):
-        raise ContractError("s_operator expects a 2x2 target and a 4x4 joint unitary")
+    u = assert_unitary(u, 2, name="target unitary")
+    v = assert_unitary(v, 4, name="joint unitary")
     vc = np.conj(v).reshape(2, 2, 2, 2)
     return np.einsum("ab,ajbl->jl", u, vc)
 
@@ -167,7 +165,7 @@ def covariance_transform(u, w1, w2, w3, w4, v) -> np.ndarray:
     matrix is returned.
     """
     for name, w in (("w1", w1), ("w2", w2), ("w3", w3), ("w4", w4)):
-        assert_unitary(w, name=name)
+        assert_unitary(w, 2, name=name)
     direct, routed = _covariance_routes(u, w1, w2, w3, w4, v)
     gap = float(np.max(np.abs(direct - routed)))
     if gap > 1e-12:
@@ -179,27 +177,15 @@ def controlled_unitary_worst(v1, v2) -> tuple[np.ndarray, float]:
     """A target unitary no controlled-unitary device (v1, v2) can imitate.
 
     Unitaries embed into R^4 through the Bloch form, where the trace overlap
-    becomes the Euclidean inner product; pivoted Gram-Schmidt against the
-    standard basis yields a direction orthogonal to both, and the returned
-    fidelity max_k |Tr[v_k^dag u]|^2 / 4 is zero to rounding.
+    becomes the Euclidean inner product; the last right singular vector of
+    the two Bloch vectors is a unit direction orthogonal to both (equal or
+    opposite vectors included), and the returned fidelity
+    max_k |Tr[v_k^dag u]|^2 / 4 is zero to rounding.
     """
     m1 = matrix_to_bloch(v1)
     m2 = matrix_to_bloch(v2)
-    basis = [m1]
-    res = m2 - (m2 @ m1) * m1
-    if np.linalg.norm(res) > 1e-8:
-        basis.append(res / np.linalg.norm(res))
-    span = np.column_stack(basis)
-    residuals = np.eye(4) - span @ span.T
-    pivot = int(np.argmax(np.linalg.norm(residuals, axis=0)))
-    n = residuals[:, pivot] / np.linalg.norm(residuals[:, pivot])
-    # one more projection pass tightens orthogonality to rounding level
-    n = n - span @ (span.T @ n)
-    n = n / np.linalg.norm(n)
-    u = bloch_to_matrix(n)
-    v1 = assert_unitary(v1, name="v1")
-    v2 = assert_unitary(v2, name="v2")
-    f = max(abs(np.trace(v1.conj().T @ u)), abs(np.trace(v2.conj().T @ u))) ** 2 / 4.0
+    u = bloch_to_matrix(np.linalg.svd(np.array([m1, m2]))[2][-1])
+    f = max(abs(np.trace(np.conj(v).T @ u)) for v in (v1, v2)) ** 2 / 4.0
     return u, float(f)
 
 
@@ -306,9 +292,7 @@ def kraus_cirac_decompose(v) -> CanonicalForm:
     phase is absorbed into W1, so reconstruction is exact rather than merely
     up to phase.
     """
-    v = assert_unitary(v, name="joint unitary")
-    if v.shape != (4, 4):
-        raise ContractError("kraus_cirac_decompose expects a 4x4 unitary")
+    v = assert_unitary(v, 4, name="joint unitary")
 
     m = _MAGIC_DAG @ v @ MAGIC
     g = m.T @ m
@@ -372,8 +356,3 @@ def worst_case_fidelity(v) -> MinimaxReport:
         optimal_sigma=sigma,
         t=t,
     )
-
-
-def sv_norm_sq(u, v) -> float:
-    """||S(U, V)||^2 by singular value, the cross-check for the closed form."""
-    return operator_norm(s_operator(u, v)) ** 2

@@ -78,9 +78,7 @@ def matrix_to_bloch(u) -> np.ndarray:
     The determinant is normalized to 1 on the principal branch, so the
     result is fixed only up to the overall sign of (n0, n).
     """
-    u = assert_unitary(u, name="bloch input")
-    if u.shape != (2, 2):
-        raise DimensionError("matrix_to_bloch needs a 2x2 unitary")
+    u = assert_unitary(u, 2, name="bloch input")
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     su = u / np.exp(0.5j * np.angle(det))
     n = np.empty(4)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from progchan import PAULI, kron, program_overlap, theta_from_alpha
+from progchan import PAULI, kron, operator_norm, program_overlap, s_operator, theta_from_alpha
 
 
 def brute_partial_trace(m, subsystem):
@@ -17,6 +17,11 @@ def brute_partial_trace(m, subsystem):
                 else:
                     out[i, j] += m[2 * k + i, 2 * k + j]
     return out
+
+
+def sv_norm_sq(u, v) -> float:
+    """||S(U, V)||^2 by singular value, the cross-check for the closed form."""
+    return operator_norm(s_operator(u, v)) ** 2
 
 
 def random_chamber_alpha(rng, interior=False):

@@ -237,6 +237,28 @@ class TestErrors:
         code, _, _ = run(capsys, "worst-case", "--v", bad)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("oracle", "--v", "I2"), "joint unitary"),
+            (("fidelity", "--u", "I2", "--v", "I4", "--sigma", "I4/4"), "program state"),
+            (("program", "--v", "I2", "--sigma", "I2/2"), "joint unitary"),
+            (("program", "--v", "I4", "--sigma", "I4/4"), "program state"),
+            (("program", "--v", "I4", "--sigma", "I2/2", "--rho", "I4/4"), "input state"),
+        ],
+        ids=["oracle-v", "fidelity-sigma", "program-v", "program-sigma", "program-rho"],
+    )
+    def test_wrong_size(self, files, capsys, argv, named):
+        mats = {"I2": np.eye(2), "I4": np.eye(4), "I2/2": np.eye(2) / 2, "I4/4": np.eye(4) / 4}
+        paths = {}
+        for key, m in mats.items():
+            paths[key] = files["tmp"] / (key.replace("/", "_") + ".json")
+            dump_matrix(m, paths[key])
+        code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert named in err
+
     def test_unknown_flag(self, files, capsys):
         code, _, _ = run(capsys, "worst-case", "--v", files["v_id"], "--bogus")
         assert code == 2

@@ -5,6 +5,10 @@ from helpers import brute_partial_trace
 from progchan import (
     ContractError,
     DimensionError,
+    KrausChannel,
+    channel_fidelity,
+    circuits,
+    covariance_transform,
     devectorize,
     equal_up_to_global_phase,
     haar_unitary,
@@ -13,11 +17,14 @@ from progchan import (
     is_hermitian,
     is_unitary,
     kron,
+    matrix_to_bloch,
     operator_norm,
     partial_trace,
     pauli,
+    program_overlap,
     vectorize,
 )
+from progchan.kernels import device_parts
 
 I2 = np.eye(2)
 I4 = np.eye(4)
@@ -202,3 +209,35 @@ class TestGlobalPhase:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             equal_up_to_global_phase(I2, I4, 1e-12)
+
+
+class TestInputContract:
+    """A matrix of the wrong size for its role is a DimensionError, raised by
+    assert_unitary or assert_density before any arithmetic."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: device_parts(I2),
+            lambda: channel_fidelity(I4, KrausChannel((I2,))),
+            lambda: covariance_transform(I2, I4, I2, I2, I2, I4),
+            lambda: circuits.local(0, I4),
+            lambda: matrix_to_bloch(I4),
+            lambda: program_overlap(I2, I4, I4 / 4),
+        ],
+        ids=[
+            "device_parts",
+            "channel_fidelity",
+            "covariance_transform",
+            "local_gate",
+            "matrix_to_bloch",
+            "program_overlap",
+        ],
+    )
+    def test_wrong_size(self, call):
+        with pytest.raises(DimensionError):
+            call()
+
+    def test_wrong_size_is_broken_contract(self):
+        assert issubclass(DimensionError, ContractError)
+        assert issubclass(DimensionError, ValueError)

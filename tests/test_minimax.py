@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import controlled_device, random_bloch, random_chamber_alpha
+from helpers import controlled_device, random_bloch, random_chamber_alpha, sv_norm_sq
 
 from progchan import (
     ContractError,
@@ -26,7 +26,6 @@ from progchan import (
     vectorize,
     worst_case_fidelity,
 )
-from progchan.minimax import sv_norm_sq
 
 I2 = np.eye(2)
 I4 = np.eye(4)
