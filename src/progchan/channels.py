@@ -27,7 +27,7 @@ class KrausChannel:
     ops: tuple
 
     def __post_init__(self):
-        ops = tuple(as_matrix(k, "Kraus operator") for k in self.ops)
+        ops = tuple(as_matrix(k, "Kraus operator", (2,)) for k in self.ops)
         if not ops:
             raise ContractError("Kraus family must be non-empty")
         object.__setattr__(self, "ops", ops)
@@ -44,6 +44,11 @@ class KrausChannel:
         return sum(k @ rho @ k.conj().T for k in self.ops)
 
 
+def _assert_state(m, name: str) -> np.ndarray:
+    """One 2x2 density matrix (``assert_density`` alone also passes a stack)."""
+    return assert_density(as_matrix(m, name, (2,)), name=name)
+
+
 def _programmed_action(v, sigma, mat) -> np.ndarray:
     """Tr_2[ V (mat x sigma) V^dag ] without input validation."""
     joint = v @ kron(mat, sigma) @ v.conj().T
@@ -53,8 +58,8 @@ def _programmed_action(v, sigma, mat) -> np.ndarray:
 def apply_programmed(v, sigma, rho) -> np.ndarray:
     """Run the device once: Tr_2[ V (rho x sigma) V^dag ]."""
     v = assert_unitary(v, 4, name="joint unitary")
-    sigma = assert_density(sigma, name="program state")
-    rho = assert_density(rho, name="input state")
+    sigma = _assert_state(sigma, "program state")
+    rho = _assert_state(rho, "input state")
     return _programmed_action(v, sigma, rho)
 
 
@@ -66,7 +71,7 @@ def program_channel(v, sigma) -> KrausChannel:
     become Kraus operators.
     """
     v = assert_unitary(v, 4, name="joint unitary")
-    sigma = assert_density(sigma, name="program state")
+    sigma = _assert_state(sigma, "program state")
     choi = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):

@@ -9,14 +9,12 @@ first, so the circuit matrix is the right-to-left product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, SynthesisError
-from .matio import dump_matrix, load_matrix
 from .matops import assert_unitary, equal_up_to_global_phase
-from .minimax import CanonicalForm, canonical_gate, optimal_interaction
+from .minimax import CanonicalForm, optimal_interaction
 from .pauli import PAULI
 
 ROTATION_KINDS = {"xrot": 1, "yrot": 2, "zrot": 3}
@@ -117,6 +115,15 @@ def _locals_pair(w_sys, w_anc) -> list:
     return gates
 
 
+def _checked(circuit: Circuit, target, tol: float, message: str) -> Circuit:
+    """``circuit``, once its matrix equals ``target`` up to global phase within
+    ``tol``; otherwise SynthesisError with the max entrywise deviation."""
+    built = circuit_matrix(circuit)
+    if not equal_up_to_global_phase(built, target, tol):
+        raise SynthesisError(message, float(np.max(np.abs(built - target))))
+    return circuit
+
+
 def build_general_circuit(cf: CanonicalForm) -> Circuit:
     """Four-CNOT template realizing (W1 x W2) canonical_gate(alpha) (W3 x W4).
 
@@ -144,13 +151,7 @@ def build_general_circuit(cf: CanonicalForm) -> Circuit:
     gates += _locals_pair(cf.w1, cf.w2)
     circuit = Circuit(tuple(gates))
     target = cf.reconstruct()
-    built = circuit_matrix(circuit)
-    if not equal_up_to_global_phase(built, target, 1e-10):
-        raise SynthesisError(
-            "general circuit does not reproduce its target",
-            float(np.max(np.abs(built - target))),
-        )
-    return circuit
+    return _checked(circuit, target, 1e-10, "general circuit does not reproduce its target")
 
 
 def build_optimal_circuit(sx_sign: int, sz_sign: int) -> Circuit:
@@ -164,13 +165,7 @@ def build_optimal_circuit(sx_sign: int, sz_sign: int) -> Circuit:
         )
     )
     target = optimal_interaction(sx_sign, sz_sign)
-    built = circuit_matrix(circuit)
-    if not equal_up_to_global_phase(built, target, 1e-12):
-        raise SynthesisError(
-            "optimal circuit does not reproduce its target",
-            float(np.max(np.abs(built - target))),
-        )
-    return circuit
+    return _checked(circuit, target, 1e-12, "optimal circuit does not reproduce its target")
 
 
 @dataclass(frozen=True)
@@ -180,12 +175,22 @@ class IdentityCheck:
     ident: str
     printed_holds: bool
     residual: float
-    corrected_form: str | None
-    corrected_residual: float | None
+    corrected_form: str | None = None
+    corrected_residual: float | None = None
+
+    @property
+    def verdict(self) -> tuple[str, float]:
+        """(status, residual to report); the status is ``pass``,
+        ``holds-with-corrected-sign`` or ``fail``."""
+        if self.printed_holds:
+            return "pass", self.residual
+        if self.corrected_residual is not None:
+            return "holds-with-corrected-sign", self.corrected_residual
+        return "fail", self.residual
 
     @property
     def holds(self) -> bool:
-        return self.printed_holds or self.corrected_residual is not None
+        return self.verdict[0] != "fail"
 
 
 def verify_identities(tol: float = 1e-12) -> list[IdentityCheck]:
@@ -203,27 +208,21 @@ def verify_identities(tol: float = 1e-12) -> list[IdentityCheck]:
             lhs = np.kron(PAULI[a], PAULI[a]) @ np.kron(PAULI[b], PAULI[b])
             rhs = np.kron(PAULI[b], PAULI[b]) @ np.kron(PAULI[a], PAULI[a])
             resid = max(resid, float(np.max(np.abs(lhs - rhs))))
-    results.append(IdentityCheck("pauli-pair-commutation", resid <= tol, resid, None, None))
+    results.append(IdentityCheck("pauli-pair-commutation", resid <= tol, resid))
 
     got = c @ np.kron(PAULI[1], np.eye(2)) @ c
     resid = float(np.max(np.abs(got - np.kron(PAULI[1], PAULI[1]))))
-    results.append(IdentityCheck("cnot-x-conjugation", resid <= tol, resid, None, None))
+    results.append(IdentityCheck("cnot-x-conjugation", resid <= tol, resid))
 
     got = c @ np.kron(np.eye(2), PAULI[3]) @ c
     printed = float(np.max(np.abs(got + np.kron(PAULI[3], PAULI[3]))))  # printed sign: -ZZ
     flipped = float(np.max(np.abs(got - np.kron(PAULI[3], PAULI[3]))))
     if printed <= tol:
-        results.append(IdentityCheck("cnot-z-conjugation", True, printed, None, None))
+        results.append(IdentityCheck("cnot-z-conjugation", True, printed))
     else:
-        results.append(
-            IdentityCheck(
-                "cnot-z-conjugation",
-                False,
-                printed,
-                "C (I x Z) C = +Z x Z",
-                flipped if flipped <= tol else None,
-            )
-        )
+        corrected = flipped if flipped <= tol else None
+        sign = "C (I x Z) C = +Z x Z"
+        results.append(IdentityCheck("cnot-z-conjugation", False, printed, sign, corrected))
 
     zq = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
     lhs = (
@@ -234,56 +233,24 @@ def verify_identities(tol: float = 1e-12) -> list[IdentityCheck]:
         @ np.kron(zq.conj().T, zq.conj().T)
     )
     resid = float(np.max(np.abs(lhs - np.kron(PAULI[2], PAULI[2]))))
-    results.append(IdentityCheck("z-rotated-xx-to-yy", resid <= tol, resid, None, None))
+    results.append(IdentityCheck("z-rotated-xx-to-yy", resid <= tol, resid))
 
     return results
 
 
 # ---------------------------------------------------------------------------
-# text format: one gate per line, e.g. "CNOT 0 1", "XROT 0 0.78539816",
-# "LOCAL 0 local_003.json"
+# text format, write-only: one gate per line, e.g. "CNOT 0 1", "XROT 0 0.3"
 # ---------------------------------------------------------------------------
 
 
-def format_circuit(c: Circuit, matrix_dir=None) -> str:
-    """Serialize a circuit; local gates spill their matrices into matrix_dir."""
+def format_circuit(c: Circuit) -> str:
+    """One line per gate; angles print as repr() so they read back exactly."""
     lines = []
-    local_count = 0
     for g in c.gates:
         if g.kind == "cnot":
             lines.append(f"CNOT {g.wires[0]} {g.wires[1]}")
         elif g.kind in ROTATION_KINDS:
             lines.append(f"{g.kind.upper()} {g.wires[0]} {g.angle!r}")
         else:
-            if matrix_dir is None:
-                raise ContractError("cannot format a local gate without a matrix_dir")
-            name = f"local_{local_count:03d}.json"
-            local_count += 1
-            dump_matrix(g.matrix, Path(matrix_dir) / name)
-            lines.append(f"LOCAL {g.wires[0]} {name}")
+            raise ContractError("a local gate has no text form: only CNOTs and rotations print")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_circuit(text: str, matrix_dir=None) -> Circuit:
-    """Inverse of :func:`format_circuit`."""
-    gates = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        op = parts[0].upper()
-        try:
-            if op == "CNOT":
-                gates.append(cnot(int(parts[1]), int(parts[2])))
-            elif op in ("XROT", "YROT", "ZROT"):
-                gates.append(rotation(op.lower(), int(parts[1]), float(parts[2])))
-            elif op == "LOCAL":
-                if matrix_dir is None:
-                    raise ContractError("cannot parse a LOCAL gate without a matrix_dir")
-                gates.append(local(int(parts[1]), load_matrix(Path(matrix_dir) / parts[2])))
-            else:
-                raise ContractError(f"unknown gate {op!r}")
-        except (IndexError, ValueError) as exc:
-            raise ContractError(f"bad circuit line {lineno}: {raw!r}") from exc
-    return Circuit(tuple(gates))

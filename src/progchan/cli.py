@@ -21,8 +21,9 @@ from .matio import load_matrix, matrix_to_obj
 # s_operator is unused here but stays bound: perfbench/tracing.py rebinds it
 # in this module by name.
 from .minimax import (  # noqa: F401
+    COVARIANCE_TOL,
     CanonicalForm,
-    _covariance_routes,
+    _covariance_gap,
     fidelity_uv,
     kraus_cirac_decompose,
     optimal_interaction,
@@ -35,20 +36,27 @@ from .pauli import HADAMARD, bloch_to_matrix, hadamard_t, hadamard_t_contract
 DEFAULT_SEED_ENV = "PROGCHAN_SEED"
 
 
-def _default_seed() -> int:
+def _resolve_seed(flag) -> int:
+    """The --seed flag, else PROGCHAN_SEED, else 0; never negative."""
     raw = os.environ.get(DEFAULT_SEED_ENV, "0")
     try:
-        return int(raw)
+        seed = int(raw) if flag is None else flag
     except ValueError:
         raise MatrixFormatError(f"{DEFAULT_SEED_ENV} must be an integer, got {raw!r}")
+    if seed < 0:
+        raise MatrixFormatError(f"--seed and {DEFAULT_SEED_ENV} must be >= 0, got {seed}")
+    return seed
 
 
-def _emit(payload, out_path=None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out_path=None) -> None:
     if out_path:
         Path(out_path).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, out_path=None) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _complex_pairs(values) -> list:
@@ -148,29 +156,19 @@ def _cmd_circuit(args) -> int:
     alpha = _parse_alpha(args.alpha)
     eye = np.eye(2, dtype=complex)
     circuit = circuits.build_general_circuit(CanonicalForm(alpha, eye, eye, eye, eye))
-    text = circuits.format_circuit(circuit)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(circuits.format_circuit(circuit), args.out)
     return 0
 
 
+def _pass_fail_row(name: str, residual: float, tol: float) -> tuple:
+    return (name, "pass" if residual <= tol else "fail", residual, "")
+
+
 def _verify_identities_rows() -> list:
-    rows = []
-    for check in circuits.verify_identities():
-        if check.printed_holds:
-            status = "pass"
-            residual = check.residual
-        elif check.corrected_residual is not None:
-            status = "holds-with-corrected-sign"
-            residual = check.corrected_residual
-        else:
-            status = "fail"
-            residual = check.residual
-        note = check.corrected_form or ""
-        rows.append((f"identity/{check.ident}", status, residual, note))
-    return rows
+    return [
+        (f"identity/{c.ident}", *c.verdict, c.corrected_form or "")
+        for c in circuits.verify_identities()
+    ]
 
 
 def _verify_covariance_rows(seed: int) -> list:
@@ -180,16 +178,12 @@ def _verify_covariance_rows(seed: int) -> list:
         u = oracle.haar_unitary(2, rng)
         v = oracle.haar_unitary(4, rng)
         w1, w2, w3, w4 = (oracle.haar_unitary(2, rng) for _ in range(4))
-        direct, routed = _covariance_routes(u, w1, w2, w3, w4, v)
-        worst = max(worst, float(np.max(np.abs(direct - routed))))
-    status = "pass" if worst <= 1e-12 else "fail"
-    return [("covariance/two-route", status, worst, "")]
+        worst = max(worst, _covariance_gap(u, w1, w2, w3, w4, v)[1])
+    return [_pass_fail_row("covariance/two-route", worst, COVARIANCE_TOL)]
 
 
 def _verify_hadamard_rows(seed: int) -> list:
-    rows = []
     ortho = float(np.max(np.abs(HADAMARD @ HADAMARD.T - np.eye(4))))
-    rows.append(("hadamard/orthogonality", "pass" if ortho <= 1e-15 else "fail", ortho, ""))
     rng = np.random.default_rng(seed)
     worst_sum = worst_min = worst_route = 0.0
     for _ in range(1000):
@@ -200,10 +194,12 @@ def _verify_hadamard_rows(seed: int) -> list:
         worst_route = max(
             worst_route, float(np.max(np.abs(t.t - hadamard_t_contract(theta))))
         )
-    rows.append(("hadamard/sum-rule", "pass" if worst_sum <= 1e-10 else "fail", worst_sum, ""))
-    rows.append(("hadamard/min-bound", "pass" if worst_min <= 1e-12 else "fail", worst_min, ""))
-    rows.append(("hadamard/two-route", "pass" if worst_route <= 1e-12 else "fail", worst_route, ""))
-    return rows
+    return [
+        _pass_fail_row("hadamard/orthogonality", ortho, 1e-15),
+        _pass_fail_row("hadamard/sum-rule", worst_sum, 1e-10),
+        _pass_fail_row("hadamard/min-bound", worst_min, 1e-12),
+        _pass_fail_row("hadamard/two-route", worst_route, 1e-12),
+    ]
 
 
 def _cmd_verify(args) -> int:
@@ -349,19 +345,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if hasattr(args, "seed"):
-        if args.seed is None:
-            try:
-                args.seed = _default_seed()
-            except MatrixFormatError as exc:
-                sys.stderr.write(f"error: {exc}\n")
-                return 2
-        if args.seed < 0:
-            sys.stderr.write(
-                f"error: --seed and {DEFAULT_SEED_ENV} must be >= 0, got {args.seed}\n"
-            )
-            return 2
     try:
+        if hasattr(args, "seed"):
+            args.seed = _resolve_seed(args.seed)
         return args.func(args)
     except (MatrixFormatError, ContractError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")

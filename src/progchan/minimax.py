@@ -14,7 +14,15 @@ import numpy as np
 
 from .errors import ContractError, DecompositionError
 from .matops import assert_unitary, hermitian_eig, kron
-from .pauli import PAULI, TVector, bloch_to_matrix, hadamard_t, matrix_to_bloch, wrap_phase
+from .pauli import (
+    PAULI,
+    TVector,
+    assert_bloch,
+    bloch_to_matrix,
+    hadamard_t,
+    matrix_to_bloch,
+    wrap_phase,
+)
 
 # Columns j of SIGMA_BASIS are the unit vectors (sigma_j x I)|I>> / sqrt(2);
 # every canonical interaction is diagonal in this basis.
@@ -34,6 +42,9 @@ DECOMPOSE_RESIDUAL_TOL = 1e-9
 # the symmetric product; the first one resolving all eigenvalue groups wins.
 _PIVOT_WEIGHTS = (0.0, 0.5, 0.37358190278130243, 1.2074808325964797)
 _PIVOT_OFFDIAG_TOL = 1e-11
+
+#: max entrywise gap between the two routes of the covariance rule
+COVARIANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,10 +138,7 @@ def closed_form_parts(n, t: TVector) -> tuple[float, float]:
     u.t is the identity coefficient of S^dag S and |v|^2 the squared length
     of its Pauli part, equal to 2 u^T T u with T the phase-pair matrix.
     """
-    n = np.asarray(n, dtype=float).reshape(4)
-    if abs(n @ n - 1.0) > 1e-12:
-        raise ContractError("Bloch vector is not on S^3")
-    u4 = n**2
+    u4 = assert_bloch(n) ** 2
     v0 = float(u4 @ (t.moduli**2))
     v_sq = float(2.0 * u4 @ t.pair_matrix() @ u4)
     return v0, v_sq
@@ -149,12 +157,13 @@ def optimal_interaction(sx_sign: int, sz_sign: int) -> np.ndarray:
     return canonical_gate([sx_sign * np.pi / 4, 0.0, sz_sign * np.pi / 4])
 
 
-def _covariance_routes(u, w1, w2, w3, w4, v) -> tuple[np.ndarray, np.ndarray]:
-    """S(U, (W1 x W2) V (W3 x W4)) and W2^* S(W1^dag U W3^dag, V) W4^*, which
-    local-unitary covariance makes equal."""
+def _covariance_gap(u, w1, w2, w3, w4, v) -> tuple[np.ndarray, float]:
+    """S(U, (W1 x W2) V (W3 x W4)) and its max entrywise gap to
+    W2^* S(W1^dag U W3^dag, V) W4^*, which local-unitary covariance makes
+    equal; the rule holds when the gap is at most COVARIANCE_TOL."""
     direct = s_operator(u, kron(w1, w2) @ v @ kron(w3, w4))
     routed = np.conj(w2) @ s_operator(np.conj(w1).T @ u @ np.conj(w3).T, v) @ np.conj(w4)
-    return direct, routed
+    return direct, float(np.max(np.abs(direct - routed)))
 
 
 def covariance_transform(u, w1, w2, w3, w4, v) -> np.ndarray:
@@ -166,9 +175,8 @@ def covariance_transform(u, w1, w2, w3, w4, v) -> np.ndarray:
     """
     for name, w in (("w1", w1), ("w2", w2), ("w3", w3), ("w4", w4)):
         assert_unitary(w, 2, name=name)
-    direct, routed = _covariance_routes(u, w1, w2, w3, w4, v)
-    gap = float(np.max(np.abs(direct - routed)))
-    if gap > 1e-12:
+    direct, gap = _covariance_gap(u, w1, w2, w3, w4, v)
+    if gap > COVARIANCE_TOL:
         raise DecompositionError("covariance routes disagree", gap)
     return direct
 

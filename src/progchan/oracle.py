@@ -8,7 +8,8 @@ group, handled by a seeded low-discrepancy sweep of S^3 plus simplex polish.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -38,14 +39,14 @@ class ScanConfig:
     sigma_samples: int = 1000
 
     def __post_init__(self):
-        if self.resolution < 100:
-            raise ContractError(f"resolution must be >= 100, got {self.resolution}")
-        if self.refine_steps < 0:
-            raise ContractError(f"refine_steps must be >= 0, got {self.refine_steps}")
-        if self.seed < 0:
-            raise ContractError(f"seed must be >= 0, got {self.seed}")
-        if self.sigma_samples < 0:
-            raise ContractError(f"sigma_samples must be >= 0, got {self.sigma_samples}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            lowest = 100 if f.name == "resolution" else 0
+            # numpy integers are Integral; bool is too, but is no count
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ContractError(f"{f.name} must be an integer, got {value!r}")
+            if value < lowest:
+                raise ContractError(f"{f.name} must be >= {lowest}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ HADAMARD.setflags(write=False)
 
 #: |t_j| below this is treated as zero and assigned phase 0
 ZERO_MODULUS = 1e-12
+#: max deviation of |n|^2 from 1 for a Bloch vector on S^3
+S3_TOL = 1e-12
 
 
 def pauli(j: int) -> np.ndarray:
@@ -62,13 +64,19 @@ def wrap_phase(theta):
     return np.where(wrapped == -np.pi, np.pi, wrapped)
 
 
-def bloch_to_matrix(n) -> np.ndarray:
-    """U = n0 I + i (n1 X + n2 Y + n3 Z) for a unit 4-vector n."""
+def assert_bloch(n) -> np.ndarray:
+    """A real 4-vector on S^3, or DimensionError / ContractError (NaN included)."""
     n = np.asarray(n, dtype=float).reshape(-1)
     if n.size != 4:
         raise DimensionError(f"Bloch vector must have 4 components, got {n.size}")
-    if abs(n @ n - 1.0) > 1e-12:
-        raise ContractError(f"Bloch vector is not on S^3: |n|^2 = {n @ n!r}")
+    if not abs(n @ n - 1.0) <= S3_TOL:
+        raise ContractError(f"Bloch vector is not on S^3: |n|^2 = {float(n @ n)!r}")
+    return n
+
+
+def bloch_to_matrix(n) -> np.ndarray:
+    """U = n0 I + i (n1 X + n2 Y + n3 Z) for a unit 4-vector n."""
+    n = assert_bloch(n)
     return n[0] * PAULI[0] + 1j * (n[1] * PAULI[1] + n[2] * PAULI[2] + n[3] * PAULI[3])
 
 
@@ -100,7 +108,8 @@ class TVector:
             raise DimensionError(f"t vector must have 4 components, got {t.size}")
         object.__setattr__(self, "t", t)
         total = float(np.sum(np.abs(t) ** 2))
-        if abs(total - 4.0) > 1e-10:
+        # written as "not <=" so that a NaN fails the guard
+        if not abs(total - 4.0) <= 1e-10:
             raise ContractError(f"sum |t_j|^2 must be 4, got {total!r}")
         if float(np.min(np.abs(t))) > 1.0 + 1e-12:
             raise ContractError("min |t_j| must not exceed 1")

@@ -7,6 +7,8 @@ from progchan import (
     Circuit,
     ContractError,
     DimensionError,
+    IdentityCheck,
+    SynthesisError,
     build_general_circuit,
     build_optimal_circuit,
     canonical_gate,
@@ -18,11 +20,11 @@ from progchan import (
     is_unitary,
     kraus_cirac_decompose,
     optimal_interaction,
-    parse_circuit,
     pauli,
     verify_identities,
     worst_case_fidelity,
 )
+from progchan import circuits
 from progchan.circuits import cnot, local, rotation
 
 I2 = np.eye(2, dtype=complex)
@@ -117,6 +119,31 @@ class TestGeneralCircuit:
         assert equal_up_to_global_phase(circuit_matrix(c), form.reconstruct(), 1e-10)
 
 
+class TestSynthesisCheck:
+    """Both builders compare the circuit with its target up to global phase,
+    the general one at 1e-10 and the optimal one at 1e-12."""
+
+    @staticmethod
+    def _skew(monkeypatch, delta):
+        exact = circuits.circuit_matrix
+        bump = np.zeros((4, 4))
+        bump[0, 0] = delta
+        monkeypatch.setattr(circuits, "circuit_matrix", lambda c: exact(c) + bump)
+
+    def test_tolerances(self, monkeypatch):
+        self._skew(monkeypatch, 5e-11)
+        build_general_circuit(identity_form([0.3, 0.2, 0.1]))
+        with pytest.raises(SynthesisError, match="optimal circuit") as info:
+            build_optimal_circuit(1, 1)
+        assert info.value.residual == pytest.approx(5e-11, rel=1e-3)
+
+    def test_general_rejected(self, monkeypatch):
+        self._skew(monkeypatch, 5e-10)
+        with pytest.raises(SynthesisError, match="general circuit") as info:
+            build_general_circuit(identity_form([0.3, 0.2, 0.1]))
+        assert info.value.residual == pytest.approx(5e-10, rel=1e-3)
+
+
 class TestOptimalCircuit:
     @pytest.mark.parametrize("sx", [1, -1])
     @pytest.mark.parametrize("sz", [1, -1])
@@ -154,35 +181,35 @@ class TestIdentities:
         assert not zrow.printed_holds
         assert zrow.corrected_form == "C (I x Z) C = +Z x Z"
         assert zrow.corrected_residual <= 1e-12
+        assert zrow.verdict == ("holds-with-corrected-sign", zrow.corrected_residual)
+        assert rows["cnot-x-conjugation"].verdict[0] == "pass"
+
+    def test_verdict(self):
+        printed = IdentityCheck("a", True, 1e-16)
+        corrected = IdentityCheck("b", False, 2.0, "fixed", 3e-16)
+        failed = IdentityCheck("c", False, 2.0, "fixed")
+        assert (printed.verdict, printed.holds) == (("pass", 1e-16), True)
+        assert (corrected.verdict, corrected.holds) == (("holds-with-corrected-sign", 3e-16), True)
+        assert (failed.verdict, failed.holds) == (("fail", 2.0), False)
 
 
 class TestTextFormat:
     def test_round_trip_rotations(self):
         c = build_optimal_circuit(1, -1)
-        text = format_circuit(c)
-        lines = text.strip().splitlines()
-        assert lines[0] == "CNOT 0 1"
-        assert lines[1].startswith("XROT 0 ")
-        back = parse_circuit(text)
-        np.testing.assert_allclose(circuit_matrix(back), circuit_matrix(c), atol=1e-15)
+        lines = format_circuit(c).splitlines()
+        assert lines == [
+            "CNOT 0 1",
+            "XROT 0 0.7853981633974483",
+            "ZROT 1 -0.7853981633974483",
+            "CNOT 0 1",
+        ]
+        # angles print as repr(), which reads back to the same float
+        assert [float(line.split()[2]) for line in lines[1:3]] == [g.angle for g in c.gates[1:3]]
 
-    def test_round_trip_with_locals(self, tmp_path):
-        rng = np.random.default_rng(4)
-        form = CanonicalForm(
-            np.array([0.3, 0.2, -0.1]), *(haar_unitary(2, rng) for _ in range(4))
-        )
-        c = build_general_circuit(form)
-        text = format_circuit(c, matrix_dir=tmp_path)
-        back = parse_circuit(text, matrix_dir=tmp_path)
-        np.testing.assert_allclose(circuit_matrix(back), circuit_matrix(c), atol=1e-12)
-
-    def test_local_without_dir_rejected(self):
+    def test_local_gate_rejected(self):
         c = Circuit((local(0, np.eye(2)),))
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="local gate"):
             format_circuit(c)
 
-    def test_bad_line_rejected(self):
-        with pytest.raises(ContractError):
-            parse_circuit("CNOT 0\n")
-        with pytest.raises(ContractError):
-            parse_circuit("HADAMARD 0 1\n")
+    def test_empty(self):
+        assert format_circuit(Circuit(())) == ""

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,62 @@ class TestScanVerb:
         last = rows[-1]
         # final row is the chamber corner alpha = (pi/4, pi/4, pi/4): F = 1/4
         assert float(last[-1]) == pytest.approx(0.25, abs=1e-12)
+
+
+class TestPrinterBytes:
+    """Exact output of the circuit printer and the verify table."""
+
+    def test_circuit_verb(self, files, capsys):
+        code, out, _ = run(capsys, "circuit", "--alpha", "0.3,0.2,0.1")
+        assert code == 0
+        assert out == (
+            "CNOT 0 1\n"
+            "XROT 0 0.3\n"
+            "ZROT 1 0.1\n"
+            "CNOT 0 1\n"
+            "ZROT 0 -0.7853981633974483\n"
+            "ZROT 1 -0.7853981633974483\n"
+            "CNOT 0 1\n"
+            "XROT 0 -0.2\n"
+            "CNOT 0 1\n"
+            "ZROT 0 0.7853981633974483\n"
+            "ZROT 1 0.7853981633974483\n"
+        )
+
+    @pytest.mark.parametrize("sx", ["1", "-1"])
+    @pytest.mark.parametrize("sz", ["1", "-1"])
+    def test_optimal_v_circuit(self, files, capsys, sx, sz):
+        code, out, _ = run(capsys, "optimal-v", "--sx", sx, "--sz", sz, "--emit-circuit")
+        assert code == 0
+        angle = {"1": "0.7853981633974483", "-1": "-0.7853981633974483"}
+        assert json.loads(out)["circuit"] == [
+            "CNOT 0 1",
+            f"XROT 0 {angle[sx]}",
+            f"ZROT 1 {angle[sz]}",
+            "CNOT 0 1",
+        ]
+
+    def test_verify_rows(self, files, capsys):
+        # residual digits depend on the BLAS build, so only their format is pinned
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "0")
+        assert code == 0
+        rows = [
+            ("identity/pauli-pair-commutation", "pass", ""),
+            ("identity/cnot-x-conjugation", "pass", ""),
+            ("identity/cnot-z-conjugation", "holds-with-corrected-sign", "  [C (I x Z) C = +Z x Z]"),
+            ("identity/z-rotated-xx-to-yy", "pass", ""),
+            ("covariance/two-route", "pass", ""),
+            ("hadamard/orthogonality", "pass", ""),
+            ("hadamard/sum-rule", "pass", ""),
+            ("hadamard/min-bound", "pass", ""),
+            ("hadamard/two-route", "pass", ""),
+        ]
+        pattern = "".join(
+            re.escape(f"{name:<31}  {status:<25} residual=") + r"\d\.\d{3}e[+-]\d{2}"
+            + re.escape(note) + "\n"
+            for name, status, note in rows
+        )
+        assert re.fullmatch(pattern, out)
 
 
 class TestErrors:

@@ -6,6 +6,7 @@ from progchan import (
     ContractError,
     DimensionError,
     KrausChannel,
+    apply_programmed,
     channel_fidelity,
     circuits,
     covariance_transform,
@@ -21,6 +22,7 @@ from progchan import (
     operator_norm,
     partial_trace,
     pauli,
+    program_channel,
     program_overlap,
     vectorize,
 )
@@ -212,18 +214,24 @@ class TestGlobalPhase:
 
 
 class TestInputContract:
-    """A matrix of the wrong size for its role is a DimensionError, raised by
-    assert_unitary or assert_density before any arithmetic."""
+    """A matrix of the wrong size for its role is a DimensionError that names
+    the argument, raised before any arithmetic."""
+
+    STACK = np.stack([I2 / 2] * 3)
 
     @pytest.mark.parametrize(
-        "call",
+        "call, named",
         [
-            lambda: device_parts(I2),
-            lambda: channel_fidelity(I4, KrausChannel((I2,))),
-            lambda: covariance_transform(I2, I4, I2, I2, I2, I4),
-            lambda: circuits.local(0, I4),
-            lambda: matrix_to_bloch(I4),
-            lambda: program_overlap(I2, I4, I4 / 4),
+            (lambda: device_parts(I2), "joint unitary"),
+            (lambda: channel_fidelity(I4, KrausChannel((I2,))), "target unitary"),
+            (lambda: covariance_transform(I2, I4, I2, I2, I2, I4), "w1"),
+            (lambda: circuits.local(0, I4), "local gate"),
+            (lambda: matrix_to_bloch(I4), "bloch input"),
+            (lambda: program_overlap(I2, I4, I4 / 4), "program state"),
+            (lambda: program_channel(I4, TestInputContract.STACK), "program state"),
+            (lambda: apply_programmed(I4, TestInputContract.STACK, I2 / 2), "program state"),
+            (lambda: apply_programmed(I4, I2 / 2, TestInputContract.STACK), "input state"),
+            (lambda: KrausChannel((I4,)), "Kraus operator"),
         ],
         ids=[
             "device_parts",
@@ -232,10 +240,14 @@ class TestInputContract:
             "local_gate",
             "matrix_to_bloch",
             "program_overlap",
+            "program_channel_stack",
+            "apply_programmed_sigma_stack",
+            "apply_programmed_rho_stack",
+            "kraus_operator",
         ],
     )
-    def test_wrong_size(self, call):
-        with pytest.raises(DimensionError):
+    def test_wrong_size(self, call, named):
+        with pytest.raises(DimensionError, match=named):
             call()
 
     def test_wrong_size_is_broken_contract(self):

@@ -131,6 +131,13 @@ class TestClosedFormNorm:
             assert v0 >= floor - 1e-12
 
 
+class TestClosedFormParts:
+    def test_nan_rejected(self):
+        t = hadamard_t(theta_from_alpha([0.3, 0.2, 0.1]))
+        with pytest.raises(ContractError, match="not on S\\^3"):
+            closed_form_parts([np.nan, 0, 0, 0], t)
+
+
 class TestFidelityUV:
     def test_identity_pair(self):
         f, sigma = fidelity_uv(I2, I4)

@@ -79,6 +79,17 @@ class TestSampleSU2:
             ScanConfig(seed=-1)
         with pytest.raises(ContractError, match="sigma_samples must be >= 0"):
             ScanConfig(sigma_samples=-3)
+        for field, value in [
+            ("resolution", 100.5),
+            ("refine_steps", 2.5),
+            ("seed", 2.5),
+            ("sigma_samples", "10"),
+            ("seed", True),
+        ]:
+            with pytest.raises(ContractError, match=f"{field} must be an integer"):
+                ScanConfig(**{field: value})
+        config = ScanConfig(resolution=np.int64(200), refine_steps=np.int32(5), seed=np.uint8(3))
+        assert sample_su2(config).shape == (200, 4)
 
 
 class TestMinimaxScan:

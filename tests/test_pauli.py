@@ -82,6 +82,10 @@ class TestBloch:
         with pytest.raises(ContractError):
             bloch_to_matrix([1, 1, 0, 0])
 
+    def test_nan_rejected(self):
+        with pytest.raises(ContractError, match="not on S\\^3"):
+            bloch_to_matrix([np.nan, 0, 0, 0])
+
     def test_non_unitary_rejected(self):
         with pytest.raises(ContractError):
             matrix_to_bloch(np.array([[1, 1], [0, 1]], dtype=complex))
@@ -144,3 +148,7 @@ class TestHadamardT:
             TVector(np.array([2.0, 2.0, 0.0, 0.0]))
         with pytest.raises(DimensionError):
             hadamard_t([0.0, 1.0])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ContractError, match="must be 4"):
+            TVector([np.nan] * 4)
