@@ -24,7 +24,6 @@ from .circuits import (
     build_optimal_circuit,
     circuit_matrix,
     format_circuit,
-    gate_matrix,
     verify_identities,
 )
 from .errors import (
@@ -34,20 +33,8 @@ from .errors import (
     MatrixFormatError,
     SynthesisError,
 )
-from .kernels import backend_name
-from .matio import dump_matrix, load_matrix, matrix_to_obj, obj_to_matrix
-from .matops import (
-    devectorize,
-    equal_up_to_global_phase,
-    hermitian_eig,
-    is_density,
-    is_hermitian,
-    is_unitary,
-    kron,
-    operator_norm,
-    partial_trace,
-    vectorize,
-)
+from .matio import load_matrix, matrix_to_obj, obj_to_matrix
+from .matops import equal_up_to_global_phase, kron, partial_trace
 from .minimax import (
     CanonicalForm,
     MinimaxReport,
@@ -77,11 +64,9 @@ from .pauli import (
     PAULI,
     TVector,
     bloch_to_matrix,
-    epsilon_sign,
     hadamard_t,
     matrix_to_bloch,
     pauli,
-    wrap_phase,
 )
 
 __version__ = "0.1.0"
@@ -101,28 +86,18 @@ __all__ = [
     "build_optimal_circuit",
     "circuit_matrix",
     "format_circuit",
-    "gate_matrix",
     "verify_identities",
     "ContractError",
     "DecompositionError",
     "DimensionError",
     "MatrixFormatError",
     "SynthesisError",
-    "backend_name",
-    "dump_matrix",
     "load_matrix",
     "matrix_to_obj",
     "obj_to_matrix",
-    "devectorize",
     "equal_up_to_global_phase",
-    "hermitian_eig",
-    "is_density",
-    "is_hermitian",
-    "is_unitary",
     "kron",
-    "operator_norm",
     "partial_trace",
-    "vectorize",
     "CanonicalForm",
     "MinimaxReport",
     "canonical_gate",
@@ -147,10 +122,8 @@ __all__ = [
     "PAULI",
     "TVector",
     "bloch_to_matrix",
-    "epsilon_sign",
     "hadamard_t",
     "matrix_to_bloch",
     "pauli",
-    "wrap_phase",
     "__version__",
 ]

@@ -55,7 +55,3 @@ def load_matrix(path) -> np.ndarray:
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"matrix file {path} is not valid JSON: {exc}") from exc
     return obj_to_matrix(obj)
-
-
-def dump_matrix(m, path) -> None:
-    Path(path).write_text(json.dumps(matrix_to_obj(m), indent=2, sort_keys=True) + "\n")

@@ -56,33 +56,6 @@ def partial_trace(m, subsystem: int) -> np.ndarray:
     raise DimensionError(f"subsystem must be 1 or 2, got {subsystem}")
 
 
-def vectorize(a) -> np.ndarray:
-    """Row-major operator vector: amps[(i,j)] = a[i][j]."""
-    a = as_matrix(a)
-    return a.reshape(-1).copy()
-
-
-def devectorize(amps) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    v = np.asarray(amps, dtype=complex).reshape(-1)
-    if v.size == 4:
-        return v.reshape(2, 2).copy()
-    if v.size == 16:
-        return v.reshape(4, 4).copy()
-    raise DimensionError(f"operator vector must have 4 or 16 amplitudes, got {v.size}")
-
-
-def is_hermitian(m, tol: float = DECOMP_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def is_unitary(m, tol: float = DECOMP_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)
-
-
 def density_mask(ms, tol: float = DECOMP_TOL) -> np.ndarray:
     """Per-state test over an (n, d, d) stack: Hermitian, unit trace and
     positive semidefinite (to -tol).
@@ -100,15 +73,11 @@ def density_mask(ms, tol: float = DECOMP_TOL) -> np.ndarray:
     return ok
 
 
-def is_density(m, tol: float = DECOMP_TOL) -> bool:
-    """Hermitian, positive semidefinite (to -tol) and unit trace."""
-    return bool(density_mask(np.asarray(m, dtype=complex)[None], tol)[0])
-
-
 def assert_unitary(m, dim: int, name: str = "matrix") -> np.ndarray:
     """A dim x dim unitary, or DimensionError / ContractError naming ``name``."""
     m = as_matrix(m, name, (dim,))
-    if not is_unitary(m, DECOMP_TOL):
+    # written as "not <=" so that a NaN fails the check
+    if not np.max(np.abs(m.conj().T @ m - np.eye(dim))) <= DECOMP_TOL:
         raise ContractError(f"{name} is not unitary at tolerance {DECOMP_TOL:g}")
     return m
 
@@ -135,7 +104,7 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     each vector is made real and positive, so repeated runs agree exactly.
     """
     h = as_matrix(h, "hermitian matrix")
-    if not is_hermitian(h, DECOMP_TOL):
+    if not np.max(np.abs(h - h.conj().T)) <= DECOMP_TOL:
         raise ContractError("hermitian_eig requires a Hermitian matrix")
     evals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
     order = np.argsort(evals)[::-1]
@@ -145,12 +114,6 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     anchors = vecs[pivots, np.arange(vecs.shape[1])]
     vecs = vecs * np.conj(anchors / np.abs(anchors))
     return evals, vecs
-
-
-def operator_norm(a) -> float:
-    """Largest singular value."""
-    a = as_matrix(a)
-    return float(np.linalg.norm(a, ord=2))
 
 
 def equal_up_to_global_phase(a, b, tol: float = ALGEBRA_TOL) -> bool:
@@ -164,7 +127,5 @@ def equal_up_to_global_phase(a, b, tol: float = ALGEBRA_TOL) -> bool:
         raise DimensionError("equal_up_to_global_phase needs matching shapes")
     overlap = b.conj().T @ a
     pivot = np.unravel_index(np.argmax(np.abs(overlap)), overlap.shape)
-    if abs(overlap[pivot]) == 0.0:
-        return operator_norm(a - b) <= tol
-    phase = overlap[pivot] / abs(overlap[pivot])
-    return operator_norm(a - phase * b) <= tol
+    phase = overlap[pivot] / abs(overlap[pivot]) if abs(overlap[pivot]) else 1.0
+    return bool(np.linalg.norm(a - phase * b, 2) <= tol)

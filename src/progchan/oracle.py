@@ -31,6 +31,15 @@ _PHI3 = 1.2207440846057596
 _ALPHAS = np.array([1.0 / _PHI3, 1.0 / _PHI3**2, 1.0 / _PHI3**3])
 
 
+def _check_count(name: str, value, lowest: int = 0) -> None:
+    """ContractError unless value is an integer count of at least ``lowest``."""
+    # numpy integers are Integral; bool is too, but is no count
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    if value < lowest:
+        raise ContractError(f"{name} must be >= {lowest}, got {value}")
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     resolution: int = 10_000
@@ -40,13 +49,7 @@ class ScanConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            lowest = 100 if f.name == "resolution" else 0
-            # numpy integers are Integral; bool is too, but is no count
-            if not isinstance(value, Integral) or isinstance(value, bool):
-                raise ContractError(f"{f.name} must be an integer, got {value!r}")
-            if value < lowest:
-                raise ContractError(f"{f.name} must be >= {lowest}, got {value}")
+            _check_count(f.name, getattr(self, f.name), 100 if f.name == "resolution" else 0)
 
 
 @dataclass(frozen=True)
@@ -204,7 +207,7 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
             writer = csv.writer(fh)
             writer.writerow(["index", "n0", "n1", "n2", "n3", "fidelity"])
             for i, (p, f) in enumerate(zip(points, values)):
-                writer.writerow([i, repr(p[0]), repr(p[1]), repr(p[2]), repr(p[3]), repr(f)])
+                writer.writerow([i, *(repr(float(x)) for x in (*p, f))])
 
     best = int(np.argmin(values))
     f_min = float(values[best])
@@ -241,7 +244,6 @@ def sigma_dominance_check(u, v, n: int, seed: int = 0) -> float:
     beyond rounding; the analytic program state itself attains it.  All n
     programs are drawn and evaluated as one stack.
     """
-    if n < 0:
-        raise ContractError(f"sample count must be >= 0, got {n}")
+    _check_count("sample count", n)
     sigmas = _random_densities(np.random.default_rng(seed), n)
     return float(np.max(program_overlap(u, v, sigmas), initial=0.0))

@@ -1,4 +1,4 @@
-"""Pauli-basis algebra: Bloch form of SU(2), sign table, and the theta -> t map."""
+"""Pauli-basis algebra: Bloch form of SU(2) and the theta -> t map."""
 
 from __future__ import annotations
 
@@ -43,17 +43,6 @@ def pauli(j: int) -> np.ndarray:
     if j not in (0, 1, 2, 3):
         raise DimensionError(f"Pauli index must be 0..3, got {j}")
     return PAULI[j].copy()
-
-
-def epsilon_sign(j: int, l: int) -> int:
-    """Sign in sigma_j sigma_l sigma_j = epsilon_{jl} sigma_l.
-
-    Conjugating by the identity (j = 0) never flips a sign, so the -1 branch
-    only applies when j and l are distinct non-identity indices.
-    """
-    if j not in (0, 1, 2, 3) or l not in (0, 1, 2, 3):
-        raise DimensionError(f"Pauli indices must be 0..3, got ({j}, {l})")
-    return 1 if j == 0 or l == 0 or l == j else -1
 
 
 def wrap_phase(theta):

@@ -1,8 +1,21 @@
 """Shared test utilities: independent oracles and random generators."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 
-from progchan import PAULI, kron, operator_norm, program_overlap, s_operator, theta_from_alpha
+from progchan import PAULI, kron, matrix_to_obj, program_overlap, s_operator, theta_from_alpha
+
+
+def write_matrix(m, path):
+    """Write m as a JSON matrix file, the format the CLI reads."""
+    Path(path).write_text(json.dumps(matrix_to_obj(m), indent=2, sort_keys=True) + "\n")
+
+
+def is_unitary(m, tol):
+    """Every entry of m^dag m - I within tol."""
+    return np.max(np.abs(m.conj().T @ m - np.eye(len(m)))) <= tol
 
 
 def brute_partial_trace(m, subsystem):
@@ -21,7 +34,7 @@ def brute_partial_trace(m, subsystem):
 
 def sv_norm_sq(u, v) -> float:
     """||S(U, V)||^2 by singular value, the cross-check for the closed form."""
-    return operator_norm(s_operator(u, v)) ** 2
+    return np.linalg.norm(s_operator(u, v), 2) ** 2
 
 
 def random_chamber_alpha(rng, interior=False):

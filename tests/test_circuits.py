@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_chamber_alpha
+from helpers import is_unitary, random_chamber_alpha
 
 from progchan import (
     CanonicalForm,
@@ -15,9 +15,7 @@ from progchan import (
     circuit_matrix,
     equal_up_to_global_phase,
     format_circuit,
-    gate_matrix,
     haar_unitary,
-    is_unitary,
     kraus_cirac_decompose,
     optimal_interaction,
     pauli,
@@ -25,7 +23,7 @@ from progchan import (
     worst_case_fidelity,
 )
 from progchan import circuits
-from progchan.circuits import cnot, local, rotation
+from progchan.circuits import cnot, gate_matrix, local, rotation
 
 I2 = np.eye(2, dtype=complex)
 

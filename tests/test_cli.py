@@ -3,9 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from helpers import write_matrix
 
 from progchan import (
-    dump_matrix,
     haar_unitary,
     obj_to_matrix,
     optimal_interaction,
@@ -20,19 +20,19 @@ def files(tmp_path):
     rng = np.random.default_rng(0)
     paths = {}
     paths["v_opt"] = tmp_path / "v_opt.json"
-    dump_matrix(optimal_interaction(1, 1), paths["v_opt"])
+    write_matrix(optimal_interaction(1, 1), paths["v_opt"])
     paths["v_id"] = tmp_path / "v_id.json"
-    dump_matrix(np.eye(4), paths["v_id"])
+    write_matrix(np.eye(4), paths["v_id"])
     paths["u_id"] = tmp_path / "u_id.json"
-    dump_matrix(np.eye(2), paths["u_id"])
+    write_matrix(np.eye(2), paths["u_id"])
     paths["u_x"] = tmp_path / "u_x.json"
-    dump_matrix(pauli(1), paths["u_x"])
+    write_matrix(pauli(1), paths["u_x"])
     paths["sigma"] = tmp_path / "sigma.json"
-    dump_matrix(random_density(rng), paths["sigma"])
+    write_matrix(random_density(rng), paths["sigma"])
     paths["v_haar"] = tmp_path / "v_haar.json"
-    dump_matrix(haar_unitary(4, rng), paths["v_haar"])
+    write_matrix(haar_unitary(4, rng), paths["v_haar"])
     paths["swap"] = tmp_path / "swap.json"
-    dump_matrix(
+    write_matrix(
         np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
         paths["swap"],
     )
@@ -90,7 +90,7 @@ class TestProgram:
 
     def test_swap_with_valid_rho(self, files, capsys):
         rho_path = files["tmp"] / "rho.json"
-        dump_matrix(np.diag([0.25, 0.75]), rho_path)
+        write_matrix(np.diag([0.25, 0.75]), rho_path)
         code, out, _ = run(
             capsys, "program", "--v", files["swap"], "--sigma", files["sigma"], "--rho", rho_path
         )
@@ -284,7 +284,7 @@ class TestErrors:
 
     def test_non_unitary_input(self, files, capsys):
         bad = files["tmp"] / "bad.json"
-        dump_matrix(np.ones((4, 4)), bad)
+        write_matrix(np.ones((4, 4)), bad)
         code, _, err = run(capsys, "worst-case", "--v", bad)
         assert code == 2
 
@@ -310,7 +310,7 @@ class TestErrors:
         paths = {}
         for key, m in mats.items():
             paths[key] = files["tmp"] / (key.replace("/", "_") + ".json")
-            dump_matrix(m, paths[key])
+            write_matrix(m, paths[key])
         code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
         assert code == 2
         assert out == ""

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from helpers import random_chamber_alpha
+from helpers import is_unitary, random_chamber_alpha
 
 from progchan import (
     CanonicalForm,
     ContractError,
     canonical_gate,
     equal_up_to_global_phase,
+    fidelity_uv,
     haar_unitary,
     hadamard_t,
-    is_unitary,
     kraus_cirac_decompose,
     kron,
     optimal_interaction,
@@ -104,3 +104,56 @@ class TestInputValidation:
     def test_wrong_size(self):
         with pytest.raises(ContractError):
             kraus_cirac_decompose(np.eye(2))
+
+
+def dressed(alpha, rng):
+    """canonical_gate(alpha) between seeded Haar locals, with a random global phase."""
+    before = kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    after = kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    return np.exp(2j * np.pi * rng.random()) * after @ canonical_gate(alpha) @ before
+
+
+class TestAdversarialSet:
+    """Degenerate and chamber-boundary interactions, perturbed and dressed.
+
+    Every case must decompose, and its worst-case fidelity must match the
+    closed form min_j |t_j|^2 / 4 taken from the raw alpha, with a witness
+    that attains it.
+    """
+
+    Q = np.pi / 4
+    ALPHAS = {
+        "corner-identity": (0.0, 0.0, 0.0),
+        "corner-cnot": (Q, 0.0, 0.0),
+        "corner-iswap": (Q, Q, 0.0),
+        "corner-swap": (Q, Q, Q),
+        "corner-swap-mirror": (Q, Q, -Q),
+        "a1-eq-a2": (0.5, 0.5, 0.2),
+        "a2-eq-a3": (0.6, 0.3, 0.3),
+        "a2-eq-minus-a3": (0.6, 0.3, -0.3),
+        "a3-zero": (0.5, 0.3, 0.0),
+        "a1-quarter": (Q, 0.3, 0.2),
+    }
+    SCALES = (0.0, 1e-14, 1e-10, 1e-7, 1e-5)
+
+    @pytest.mark.parametrize("name", ALPHAS)
+    def test_fidelity_and_witness(self, name):
+        rng = np.random.default_rng(list(self.ALPHAS).index(name))
+        for scale in self.SCALES:
+            for _ in range(15):
+                alpha = np.array(self.ALPHAS[name]) + scale * rng.uniform(-1, 1, 3)
+                v = dressed(alpha, rng)
+                rep = worst_case_fidelity(v)  # decomposes v, so it must not raise
+                closed = float(np.min(hadamard_t(theta_from_alpha(alpha)).moduli ** 2) / 4.0)
+                assert abs(rep.fidelity - closed) <= 1e-12
+                assert abs(fidelity_uv(rep.worst_unitary, v)[0] - rep.fidelity) <= 1e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: at alpha_1 = pi/4 the sign of alpha_3 depends on the dressing",
+    )
+    def test_alpha_is_a_class_invariant_on_the_quarter_face(self):
+        rng = np.random.default_rng(40)
+        forms = [kraus_cirac_decompose(dressed((self.Q, 0.3, 0.2), rng)) for _ in range(40)]
+        alphas = np.array([form.alpha for form in forms])
+        np.testing.assert_allclose(alphas, alphas[0], rtol=0, atol=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from progchan import bloch_to_matrix, haar_unitary, hermitian_eig, s_operator
+from progchan import bloch_to_matrix, haar_unitary, s_operator
 from progchan import _scan_py
 from progchan.kernels import (
     backend_name,
@@ -9,6 +9,7 @@ from progchan.kernels import (
     fidelity_from_bloch,
     fidelity_from_bloch_batch,
 )
+from progchan.matops import hermitian_eig
 
 
 def reference_fidelity(v, n):

@@ -10,23 +10,17 @@ from progchan import (
     channel_fidelity,
     circuits,
     covariance_transform,
-    devectorize,
     equal_up_to_global_phase,
     haar_unitary,
-    hermitian_eig,
-    is_density,
-    is_hermitian,
-    is_unitary,
     kron,
     matrix_to_bloch,
-    operator_norm,
     partial_trace,
     pauli,
     program_channel,
     program_overlap,
-    vectorize,
 )
 from progchan.kernels import device_parts
+from progchan.matops import assert_density, assert_unitary, hermitian_eig
 
 I2 = np.eye(2)
 I4 = np.eye(4)
@@ -102,33 +96,15 @@ class TestPartialTrace:
 
 
 class TestVectorize:
-    def test_identity(self):
-        np.testing.assert_array_equal(vectorize(I2), [1, 0, 0, 1])
-
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(5)
-        for dim in (2, 4):
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            np.testing.assert_array_equal(devectorize(vectorize(a)), a)
+    """kron's index order matches row-major vectorization, vec(X) = X.reshape(-1)."""
 
     def test_sandwich_identity(self):
         # (A x B^T) vec(X) = vec(A X B)
         rng = np.random.default_rng(6)
         for _ in range(30):
             a, b, x = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-            lhs = kron(a, b.T) @ vectorize(x)
-            np.testing.assert_allclose(lhs, vectorize(a @ x @ b), atol=1e-13)
-
-    def test_projector_vectorizes_to_conjugate_pair(self):
-        rng = np.random.default_rng(7)
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v /= np.linalg.norm(v)
-        lhs = vectorize(np.outer(v, v.conj()))
-        np.testing.assert_allclose(lhs, np.kron(v, v.conj()), atol=1e-14)
-
-    def test_bad_size(self):
-        with pytest.raises(DimensionError):
-            devectorize(np.ones(5))
+            lhs = kron(a, b.T) @ x.reshape(-1)
+            np.testing.assert_allclose(lhs, (a @ x @ b).reshape(-1), atol=1e-13)
 
 
 class TestHermitianEig:
@@ -171,27 +147,30 @@ class TestHermitianEig:
 
 
 class TestOperatorNorm:
-    def test_values(self):
-        assert operator_norm(I2) == pytest.approx(1.0, abs=1e-14)
-        assert operator_norm(2 * pauli(1)) == pytest.approx(2.0, abs=1e-14)
-        assert operator_norm(np.diag([3.0, 4.0, 0.0, 0.0])) == pytest.approx(4.0, abs=1e-14)
-
     def test_unitary_norm_one(self):
         rng = np.random.default_rng(10)
         for dim in (2, 4):
             for _ in range(20):
-                assert operator_norm(haar_unitary(dim, rng)) == pytest.approx(1.0, abs=1e-10)
+                assert np.linalg.norm(haar_unitary(dim, rng), 2) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestPredicates:
+    """The input contract accepts and rejects what the old predicates did."""
+
     def test_basic(self):
-        assert is_unitary(pauli(2))
-        assert not is_unitary(2 * I2)
-        assert is_hermitian(pauli(1))
-        assert not is_hermitian(1j * pauli(1))
-        assert is_density(I2 / 2)
-        assert not is_density(I2)
-        assert not is_density(np.diag([1.5, -0.5]))
+        nan = np.full((2, 2), np.nan)
+        np.testing.assert_array_equal(assert_unitary(pauli(2), 2), pauli(2))
+        for bad in (2 * I2, nan):
+            with pytest.raises(ContractError, match="is not unitary"):
+                assert_unitary(bad, 2)
+        hermitian_eig(pauli(1))
+        for bad in (1j * pauli(1), nan):
+            with pytest.raises(ContractError, match="requires a Hermitian matrix"):
+                hermitian_eig(bad)
+        np.testing.assert_array_equal(assert_density(I2 / 2), I2 / 2)
+        for bad in (I2, np.diag([1.5, -0.5]), nan):
+            with pytest.raises(ContractError, match="is not a valid density matrix"):
+                assert_density(bad)
 
 
 class TestGlobalPhase:

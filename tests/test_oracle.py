@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,10 @@ class TestMinimaxScan:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "index,n0,n1,n2,n3,fidelity"
         assert len(lines) == 301
+        # every cell is a plain number, never a numpy scalar's repr
+        rows = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+        np.testing.assert_array_equal(rows[:, 0], np.arange(300))
+        np.testing.assert_allclose(np.linalg.norm(rows[:, 1:5], axis=1), 1.0, atol=1e-12)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ContractError):
@@ -225,6 +230,19 @@ class TestSigmaDominance:
         assert sigma_dominance_check(np.eye(2), np.eye(4), 0) == 0.0
         with pytest.raises(ContractError):
             sigma_dominance_check(np.eye(2), np.eye(4), -1)
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (2.5, "sample count must be an integer, got 2.5"),
+            (True, "sample count must be an integer, got True"),
+            (-1, "sample count must be >= 0, got -1"),
+        ],
+        ids=["float", "bool", "negative"],
+    )
+    def test_bad_sample_count(self, n, message):
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            sigma_dominance_check(np.eye(2), np.eye(4), n)
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ContractError):

@@ -9,15 +9,13 @@ from progchan import (
     DimensionError,
     TVector,
     bloch_to_matrix,
-    epsilon_sign,
     equal_up_to_global_phase,
     haar_unitary,
     hadamard_t,
     matrix_to_bloch,
     pauli,
-    wrap_phase,
 )
-from progchan.pauli import hadamard_t_contract
+from progchan.pauli import hadamard_t_contract, wrap_phase
 
 angles = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
 theta_vectors = st.lists(angles, min_size=4, max_size=4).map(np.array)
@@ -38,21 +36,13 @@ class TestPauli:
 
 
 class TestEpsilonSign:
-    def test_table_entries(self):
-        assert epsilon_sign(1, 0) == 1
-        assert epsilon_sign(1, 1) == 1
-        assert epsilon_sign(1, 2) == -1
-        assert epsilon_sign(2, 3) == -1
-
     def test_against_matrix_products(self):
+        # sigma_j sigma_l sigma_j = -sigma_l exactly when j, l are distinct and non-zero
         for j in range(4):
             for l in range(4):
+                sign = 1 if j == 0 or l in (0, j) else -1
                 lhs = pauli(j) @ pauli(l) @ pauli(j)
-                np.testing.assert_allclose(lhs, epsilon_sign(j, l) * pauli(l), atol=1e-15)
-
-    def test_bad_index(self):
-        with pytest.raises(DimensionError):
-            epsilon_sign(0, 5)
+                np.testing.assert_allclose(lhs, sign * pauli(l), atol=1e-15)
 
 
 class TestBloch:
