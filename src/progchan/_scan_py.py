@@ -2,6 +2,9 @@
 
 For a fixed device the fidelity at Bloch point n is the top eigenvalue of
 S^dag S over 4, with S(n) = sum_mu n_mu K_mu; at 2x2 it has a closed form.
+S is real-linear in n, so the sum is one real (n, 4) x (4, 8) matmul whose
+rows are the real and imaginary parts of S's four entries, read back as
+complex without a copy.
 """
 
 from __future__ import annotations
@@ -11,13 +14,19 @@ import numpy as np
 
 def fidelity_batch(parts, ns, out):
     """Fill out[i] with the best-program fidelity at Bloch point ns[i]."""
-    parts = np.asarray(parts, dtype=complex)
-    ns = np.asarray(ns, dtype=float)
+    # C order makes the float views below legal and the matmul's rounding
+    # the same for every input layout; contiguous inputs are not copied
+    parts = np.ascontiguousarray(parts, dtype=complex)
+    ns = np.ascontiguousarray(ns, dtype=float)
     if parts.shape != (4, 2, 2):
         raise ValueError("parts must have shape (4, 2, 2)")
-    if ns.ndim != 2 or ns.shape[1] != 4 or out.shape[0] != ns.shape[0]:
-        raise ValueError("ns must be (n, 4) and out must be (n,)")
-    s = np.einsum("nm,mjl->njl", ns, parts)
+    if ns.ndim != 2 or ns.shape[1] != 4:
+        raise ValueError("ns must have shape (n, 4)")
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != (len(ns),):
+        raise ValueError("out must be a float64 array of shape (n,)")
+    # row mu: Re, Im of K_mu[0, 0], K_mu[0, 1], K_mu[1, 0], K_mu[1, 1]
+    k = parts.reshape(4, 4).view(float)
+    s = (ns @ k).view(complex).reshape(-1, 2, 2)
     h00 = np.abs(s[:, 0, 0]) ** 2 + np.abs(s[:, 1, 0]) ** 2
     h11 = np.abs(s[:, 0, 1]) ** 2 + np.abs(s[:, 1, 1]) ** 2
     h01 = np.conj(s[:, 0, 0]) * s[:, 0, 1] + np.conj(s[:, 1, 0]) * s[:, 1, 1]

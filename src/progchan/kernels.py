@@ -1,6 +1,9 @@
 """Entry points to the scan inner loop.
 
-The loop itself is the vectorized numpy kernel ``_scan_py.fidelity_batch``;
+The loop itself is the vectorized numpy kernel ``_scan_py.fidelity_batch``:
+one real (n, 4) x (4, 8) matmul against the K_mu of ``device_parts`` gives
+S(n) for every point, then a 2x2 closed form gives the fidelity.  The same
+kernel serves the full sweep and the polish's small batches;
 ``perfbench/run.py --trace 1`` times it layer by layer.
 """
 

@@ -130,6 +130,20 @@ def _tangent_frame(n: np.ndarray) -> np.ndarray:
     return np.array(frame)
 
 
+def _lowest(values: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` smallest values, ascending, ties lowest index first.
+
+    Equals ``np.argsort(values, kind="stable")[:count]`` (NaN last) but sorts
+    only the values at or below the count-th smallest, which a partition finds.
+    """
+    if count >= len(values):
+        return np.argsort(values, kind="stable")
+    cut = values[np.argpartition(values, count - 1)[count - 1]]
+    # "not above" keeps NaNs when the cut itself is NaN; otherwise they sort past it
+    keep = np.flatnonzero(~(values > cut))
+    return keep[np.argsort(values[keep], kind="stable")][:count]
+
+
 def _polish(
     parts, starts: np.ndarray, steps: int, scale: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -216,7 +230,7 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
     if config.refine_steps > 0:
         scale = max((2 * np.pi**2 / config.resolution) ** (1.0 / 3.0), 1e-3)
         candidates = [worst]
-        for i in np.argsort(values)[:16]:
+        for i in _lowest(values, 16):
             p = points[i]
             if all(min(np.linalg.norm(p - c), np.linalg.norm(p + c)) > 0.1 for c in candidates):
                 candidates.append(p.copy())

@@ -18,6 +18,21 @@ def is_unitary(m, tol):
     return np.max(np.abs(m.conj().T @ m - np.eye(len(m)))) <= tol
 
 
+def einsum_fidelity_batch(parts, ns):
+    """The scan kernel's earlier complex-einsum formula, kept as its reference.
+
+    S(n) = sum_mu n_mu K_mu by einsum, then the top eigenvalue of S^dag S
+    over 4 from the 2x2 closed form.
+    """
+    s = np.einsum("nm,mjl->njl", np.asarray(ns, dtype=float), np.asarray(parts, dtype=complex))
+    h00 = np.abs(s[:, 0, 0]) ** 2 + np.abs(s[:, 1, 0]) ** 2
+    h11 = np.abs(s[:, 0, 1]) ** 2 + np.abs(s[:, 1, 1]) ** 2
+    h01 = np.conj(s[:, 0, 0]) * s[:, 0, 1] + np.conj(s[:, 1, 0]) * s[:, 1, 1]
+    mean = 0.5 * (h00 + h11)
+    diff = 0.5 * (h00 - h11)
+    return 0.25 * (mean + np.sqrt(diff * diff + np.abs(h01) ** 2))
+
+
 def brute_partial_trace(m, subsystem):
     """Index-sum partial trace, independent of the library implementation."""
     m = np.asarray(m, dtype=complex)

@@ -22,7 +22,7 @@ from progchan import (
 )
 from progchan import oracle
 from progchan.kernels import device_parts, fidelity_from_bloch
-from progchan.oracle import _ALPHAS, AXIS_POINTS, _polish, _random_densities
+from progchan.oracle import _ALPHAS, AXIS_POINTS, _lowest, _polish, _random_densities
 
 
 class TestSampleSU2:
@@ -162,6 +162,44 @@ class TestMinimaxScan:
     def test_non_unitary_rejected(self):
         with pytest.raises(ContractError):
             minimax_scan(np.ones((4, 4)), ScanConfig(resolution=200, seed=0))
+
+
+class TestLowest:
+    """The polish seeds: the 16 lowest sweep values, ties lowest index first."""
+
+    @staticmethod
+    def stable(values, count=16):
+        return np.argsort(values, kind="stable")[:count]
+
+    def test_axis_twins_on_canonical_devices(self):
+        # +e_j and -e_j give exactly the same fidelity on a canonical device
+        points = sample_su2(ScanConfig(resolution=2000, seed=0))
+        for v in (optimal_interaction(1, 1), canonical_gate([0.3, 0.2, 0.1]), np.eye(4)):
+            values = oracle.fidelity_from_bloch_batch(device_parts(v), points)
+            np.testing.assert_array_equal(values[:4], values[4:8])
+            np.testing.assert_array_equal(_lowest(values, 16), self.stable(values))
+
+    def test_planted_ties(self):
+        rng = np.random.default_rng(12)
+        values = rng.random(5000)
+        ranked = np.argsort(values, kind="stable")
+        # +- twins: each of the ten lowest values also sits at a higher index
+        for i in ranked[:10]:
+            values[rng.integers(i + 1, 5000)] = values[i]
+        # a seven-way tie across rank 16 (ranks 13 to 19 after the twins)
+        ranked = np.argsort(values, kind="stable")
+        values[ranked[13:20]] = values[ranked[13]]
+        picked = _lowest(values, 16)
+        np.testing.assert_array_equal(picked, self.stable(values))
+        assert len(np.unique(values[picked])) < 16
+
+    def test_edge_cases(self):
+        np.testing.assert_array_equal(_lowest(np.full(40, 0.5), 16), np.arange(16))
+        short = np.array([0.3, 0.1, 0.3, 0.2])
+        np.testing.assert_array_equal(_lowest(short, 16), [1, 3, 0, 2])
+        with_nan = np.array([np.nan, 0.2, np.nan, 0.1, 0.2] * 4)
+        for count in (1, 7, 8, 9, 16):
+            np.testing.assert_array_equal(_lowest(with_nan, count), self.stable(with_nan, count))
 
 
 class TestLockStepPolish:
