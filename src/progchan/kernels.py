@@ -2,9 +2,19 @@
 
 The loop itself is the vectorized numpy kernel ``_scan_py.fidelity_batch``:
 one real (n, 4) x (4, 8) matmul against the K_mu of ``device_parts`` gives
-S(n) for every point, then a 2x2 closed form gives the fidelity.  The same
-kernel serves the full sweep and the polish's small batches;
-``perfbench/run.py --trace 1`` times it layer by layer.
+S(n) for every point, then a 2x2 closed form gives the fidelity, a block of
+4096 points at a time.  The same kernel serves the full sweep and the
+polish's small batches; ``perfbench/run.py --trace 1`` times it layer by
+layer.
+
+A point's value does not depend on the batch around it, with one exception:
+a batch of a single row.  numpy computes a (1, 4) x (4, 8) product on a
+different BLAS path, which can round the last bit differently (up to
+2.2e-16 in f).  Any split of a batch into pieces of two or more rows gives
+bit-identical values, which is why the kernel never leaves a lone row at
+the end of its last block.  It is also why the polish, whose batches mix
+the points its starts are waiting for, can flip a near-tie between two
+vertices when the batch around a point changes.
 """
 
 from __future__ import annotations

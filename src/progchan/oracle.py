@@ -96,23 +96,26 @@ def sample_su2(config: ScanConfig) -> np.ndarray:
     The additive recurrence u_i = frac(offset + alpha (i+1)) fills the unit
     cube, and the standard area-preserving map carries it onto S^3.  With a
     fixed seed the sequence is prefix-nested: raising the resolution only
-    appends points.
+    appends points.  The work runs coordinate-major, (3, n) then (4, n), so
+    every ufunc makes one long pass.
     """
-    n_seq = config.resolution - len(AXIS_POINTS)
-    if n_seq <= 0:
-        return AXIS_POINTS[: config.resolution].copy()
+    n_seq = config.resolution - len(AXIS_POINTS)  # >= 92: ScanConfig wants resolution >= 100
     offset = np.random.default_rng(config.seed).random(3)
-    idx = np.arange(1, n_seq + 1)[:, None]
-    u = offset + idx * _ALPHAS
-    u -= np.floor(u)  # frac(), exact for these non-negative arguments
-    azim = 2 * np.pi * u[:, 1]
-    polar = 2 * np.pi * u[:, 2]
-    r_low = np.sqrt(1.0 - u[:, 0])
-    r_high = np.sqrt(u[:, 0])
-    points = np.column_stack(
-        [r_low * np.sin(azim), r_low * np.cos(azim), r_high * np.sin(polar), r_high * np.cos(polar)]
-    )
-    return np.concatenate([AXIS_POINTS, points])
+    u = _ALPHAS[:, None] * np.arange(1, n_seq + 1)
+    u += offset[:, None]
+    coords = np.empty((4, n_seq))
+    u -= np.floor(u, out=coords[:3])  # frac(), exact for these non-negative arguments
+    angles = u[1:]
+    angles *= 2 * np.pi  # azimuth, polar
+    radii = np.empty((2, n_seq))  # low, high
+    np.subtract(1.0, u[0], out=radii[0])
+    radii[1] = u[0]
+    np.sqrt(radii, out=radii)
+    np.sin(angles, out=coords[0::2])
+    np.cos(angles, out=coords[1::2])
+    coords[0::2] *= radii
+    coords[1::2] *= radii
+    return np.concatenate([AXIS_POINTS, coords.T])
 
 
 def _tangent_frame(n: np.ndarray) -> np.ndarray:
@@ -144,65 +147,77 @@ def _lowest(values: np.ndarray, count: int) -> np.ndarray:
     return keep[np.argsort(values[keep], kind="stable")][:count]
 
 
+def _nelder_mead(steps: int, scale: float):
+    """Serial Nelder-Mead in a 3-d chart, from a right-angle simplex at the origin.
+
+    A generator: it yields the list of chart points it needs next (4, then 1
+    or 3 at a time), is sent the list of their values, and returns the best
+    (value, point).  Vertices are ranked by value, ties in vertex order.
+    """
+    simplex = [(0.0, 0.0, 0.0), (scale, 0.0, 0.0), (0.0, scale, 0.0), (0.0, 0.0, scale)]
+    values = yield simplex
+    for _ in range(steps):
+        order = sorted(range(4), key=values.__getitem__)
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        best, worst = simplex[0], simplex[3]
+        centroid = [(a + b + c) / 3.0 for a, b, c in zip(*simplex[:3])]
+        reflected = tuple(c + (c - w) for c, w in zip(centroid, worst))
+        (f_ref,) = yield [reflected]
+        if f_ref < values[0]:
+            expanded = tuple(c + 2.0 * (c - w) for c, w in zip(centroid, worst))
+            (f_exp,) = yield [expanded]
+            simplex[3], values[3] = (expanded, f_exp) if f_exp < f_ref else (reflected, f_ref)
+        elif f_ref < values[2]:
+            simplex[3], values[3] = reflected, f_ref
+        else:
+            contracted = tuple(c + 0.5 * (w - c) for c, w in zip(centroid, worst))
+            (f_con,) = yield [contracted]
+            if f_con < values[3]:
+                simplex[3], values[3] = contracted, f_con
+            else:
+                simplex[1:] = [tuple(b + 0.5 * (x - b) for b, x in zip(best, v)) for v in simplex[1:]]
+                values[1:] = yield simplex[1:]
+    i = min(range(4), key=values.__getitem__)
+    return values[i], simplex[i]
+
+
 def _polish(
     parts, starts: np.ndarray, steps: int, scale: float
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Nelder-Mead reflections in a tangent chart at each start, reprojected to S^3.
+    """Nelder-Mead in a tangent chart at each start, reprojected to S^3.
 
-    All starts advance in lock-step: each makes the moves of its own serial
-    simplex, and one step costs at most three batched kernel calls (reflect,
-    then expand or contract, then shrink).  Returns each start's best value
-    and point, and the total number of evaluations.
+    Each start runs its own serial simplex (``_nelder_mead``).  Every round
+    maps the points all unfinished starts are waiting for onto S^3 and
+    evaluates them in one kernel call, so a start makes the moves it would
+    make alone.  Returns each start's best value and point, and the total
+    number of evaluations.
     """
     frames = np.array([_tangent_frame(n0) for n0 in starts])
-    rows = np.arange(len(starts))
-    evaluations = 0
 
     def point(idx, x):
         p = starts[idx] + np.einsum("ki,kij->kj", x, frames[idx])
         return p / np.sqrt(np.einsum("kj,kj->k", p, p))[:, None]
 
-    def objective(idx, x):
-        nonlocal evaluations
-        evaluations += len(idx)
-        return fidelity_from_bloch_batch(parts, point(idx, x))
-
-    simplex = np.zeros((len(starts), 4, 3))
-    simplex[:, 1:] = scale * np.eye(3)
-    values = objective(np.repeat(rows, 4), simplex.reshape(-1, 3)).reshape(-1, 4)
-    for _ in range(steps):
-        order = np.argsort(values, axis=1)
-        simplex = simplex[rows[:, None], order]
-        values = values[rows[:, None], order]
-        centroid = simplex[:, :-1].sum(axis=1) / 3.0
-        worst = simplex[:, -1]
-        new_x = centroid + (centroid - worst)
-        new_f = objective(rows, new_x)
-        expand = new_f < values[:, 0]
-        contract = ~(expand | (new_f < values[:, -2]))
-        moving = np.flatnonzero(expand | contract)
-        shrink = np.zeros(len(starts), dtype=bool)
-        if moving.size:
-            step = np.where(expand[moving], 2.0, -0.5)[:, None]
-            trial_x = centroid[moving] + step * (centroid[moving] - worst[moving])
-            trial_f = objective(moving, trial_x)
-            # expansion competes with the reflection, contraction with the worst vertex
-            bar = np.where(expand[moving], new_f[moving], values[moving, -1])
-            take = trial_f < bar
-            new_x[moving[take]] = trial_x[take]
-            new_f[moving[take]] = trial_f[take]
-            shrink[moving[~take & contract[moving]]] = True
-        keep = ~shrink
-        simplex[keep, -1] = new_x[keep]
-        values[keep, -1] = new_f[keep]
-        if shrink.any():
-            idx = np.flatnonzero(shrink)
-            best = simplex[idx, :1]
-            simplex[idx, 1:] = best + 0.5 * (simplex[idx, 1:] - best)
-            shrunk = objective(np.repeat(idx, 3), simplex[idx, 1:].reshape(-1, 3))
-            values[idx, 1:] = shrunk.reshape(-1, 3)
-    best = np.argmin(values, axis=1)
-    return values[rows, best], point(rows, simplex[rows, best]), evaluations
+    runs = [_nelder_mead(steps, scale) for _ in starts]
+    waiting = {k: next(run) for k, run in enumerate(runs)}
+    found = [None] * len(runs)
+    evaluations = 0
+    while waiting:
+        idx = [k for k, xs in waiting.items() for _ in xs]
+        x = [xi for xs in waiting.values() for xi in xs]
+        values = fidelity_from_bloch_batch(parts, point(idx, np.array(x))).tolist()
+        evaluations += len(values)
+        at = 0
+        for k, xs in list(waiting.items()):
+            got, at = values[at : at + len(xs)], at + len(xs)
+            try:
+                waiting[k] = runs[k].send(got)
+            except StopIteration as done:
+                found[k] = done.value
+                del waiting[k]
+    best_f, best_x = zip(*found)
+    return np.array(best_f), point(np.arange(len(runs)), np.array(best_x)), evaluations
 
 
 def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:

@@ -115,8 +115,9 @@ def sigma_dominance_loop(u, v, n, seed=0):
 def serial_polish(objective, n0, steps, scale):
     """Single-start Nelder-Mead in a tangent chart at n0, one objective call per point.
 
-    ``objective`` maps one unit Bloch vector to a float.  Returns (best value,
-    best Bloch point, evaluations).
+    ``objective`` maps one unit Bloch vector to a float.  Vertices are ranked
+    by value, ties in vertex order.  Returns (best value, best Bloch point,
+    evaluations).
     """
     order = np.argsort(np.abs(n0))
     frame = []
@@ -142,7 +143,7 @@ def serial_polish(objective, n0, steps, scale):
     simplex = [np.zeros(3)] + [scale * e for e in np.eye(3)]
     values = [chart_objective(x) for x in simplex]
     for _ in range(steps):
-        order = np.argsort(values)
+        order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         centroid = np.mean(simplex[:-1], axis=0)

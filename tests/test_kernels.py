@@ -145,3 +145,26 @@ def test_kernel_independent_of_layout():
     _scan_py.fidelity_batch(parts, pts, slots[::2])
     np.testing.assert_array_equal(slots[::2], want)
     assert not slots[1::2].any()
+
+
+def test_kernel_split_invariant():
+    # two full blocks and a short tail, so splits fall inside and across block edges
+    block = _scan_py._BLOCK
+    n = 2 * block + 3
+    rng = np.random.default_rng(7)
+    parts = device_parts(haar_unitary(4, rng))
+    pts = random_points(rng, n)
+    want = fidelity_from_bloch_batch(parts, pts)
+    # distinct even cuts leave pieces of at least two rows
+    even_cuts = np.sort(rng.choice(np.arange(2, n - 1, 2), size=40, replace=False))
+    for cuts in ([block - 1, block + 1, 2 * block], [2, block, 2 * block + 1], even_cuts):
+        got = np.concatenate([fidelity_from_bloch_batch(parts, p) for p in np.split(pts, cuts)])
+        np.testing.assert_array_equal(got, want)
+    # one block and one row more: the row must not be left to a batch of its own
+    for start in range(0, n - block - 1, 409):
+        piece = slice(start, start + block + 1)
+        np.testing.assert_array_equal(fidelity_from_bloch_batch(parts, pts[piece]), want[piece])
+    # a single row takes numpy's vector-matrix product, which may round differently
+    rows = rng.choice(n, size=200, replace=False)
+    single = [fidelity_from_bloch(parts, pts[i]) for i in rows]
+    np.testing.assert_allclose(single, want[rows], rtol=0, atol=KERNEL_ATOL)

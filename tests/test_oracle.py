@@ -54,7 +54,7 @@ class TestSampleSU2:
 
     def test_matches_mod_formula(self):
         # reference: the recurrence written with np.mod, bit for bit
-        for seed, resolution in ((0, 100_000), (5, 2000), (11, 109)):
+        for seed, resolution in ((0, 100_000), (5, 2000), (11, 109), (3, 100)):
             pts = sample_su2(ScanConfig(resolution=resolution, seed=seed))
             offset = np.random.default_rng(seed).random(3)
             idx = np.arange(1, resolution - len(AXIS_POINTS) + 1)[:, None]
@@ -233,6 +233,37 @@ class TestLockStepPolish:
         np.testing.assert_allclose(values, [r[0] for r in reference], rtol=0, atol=1e-12)
         np.testing.assert_allclose(points, [r[1] for r in reference], rtol=0, atol=1e-12)
         assert evaluations == sum(r[2] for r in reference)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ties_ranked_in_vertex_order(self, monkeypatch, seed):
+        # a staircase objective: equal values among the vertices are common, and
+        # numpy's default argsort may order such ties either way
+        target = np.array([0.1, -0.7, 0.5, 0.5])
+
+        def staircase(parts, ns):
+            return np.floor(64.0 * np.abs(ns - target).max(axis=1)) / 64.0
+
+        monkeypatch.setattr(oracle, "fidelity_from_bloch_batch", staircase)
+        rng = np.random.default_rng(seed)
+        starts = np.array([random_bloch(rng) for _ in range(4)])
+        values, points, evaluations = _polish(None, starts, 30, 0.2)
+        reference = [serial_polish(lambda n: staircase(None, n[None])[0], n0, 30, 0.2) for n0 in starts]
+        np.testing.assert_array_equal(values, [r[0] for r in reference])
+        np.testing.assert_allclose(points, [r[1] for r in reference], rtol=0, atol=1e-12)
+        assert evaluations == sum(r[2] for r in reference)
+
+    @pytest.mark.parametrize("n_starts", [1, 4])
+    def test_no_steps_returns_best_initial_vertex(self, n_starts):
+        rng = np.random.default_rng(14)
+        parts = device_parts(haar_unitary(4, rng))
+        starts = np.array([random_bloch(rng) for _ in range(n_starts)])
+        values, points, evaluations = _polish(parts, starts, 0, 0.05)
+        assert evaluations == 4 * n_starts
+        objective = functools.partial(fidelity_from_bloch, parts)
+        reference = [serial_polish(objective, n0, 0, 0.05) for n0 in starts]
+        # one-point kernel calls may round the last bit apart from batched ones
+        np.testing.assert_allclose(values, [r[0] for r in reference], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(points, [r[1] for r in reference], rtol=0, atol=1e-15)
 
 
 class TestSigmaDominance:
