@@ -6,7 +6,9 @@ and discards the ancilla; the ancilla state sigma is the program.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -119,6 +121,7 @@ def avg_io_fidelity(f: float, d: int) -> float:
     """Input-output fidelity averaged over pure states: (1 + d F) / (d + 1)."""
     if not -1e-12 <= f <= 1.0 + 1e-12:
         raise ContractError(f"fidelity must lie in [0, 1], got {f!r}")
-    if int(d) != d or d < 2:
+    # finite first: int() of inf or NaN raises before the comparison could fail
+    if not (isinstance(d, Real) and math.isfinite(d) and d >= 2 and int(d) == d):
         raise ContractError(f"dimension must be an integer >= 2, got {d!r}")
     return (1.0 + d * f) / (d + 1.0)

@@ -12,9 +12,9 @@ a batch of a single row.  numpy computes a (1, 4) x (4, 8) product on a
 different BLAS path, which can round the last bit differently (up to
 2.2e-16 in f).  Any split of a batch into pieces of two or more rows gives
 bit-identical values, which is why the kernel never leaves a lone row at
-the end of its last block.  It is also why the polish, whose batches mix
-the points its starts are waiting for, can flip a near-tie between two
-vertices when the batch around a point changes.
+the end of its last block.  The polish's batches always carry at least 3
+rows (each start asks for 3 or 4 points at a time), so a polish start's
+values do not depend on the other starts that share its batches.
 """
 
 from __future__ import annotations

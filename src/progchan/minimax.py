@@ -152,7 +152,8 @@ def closed_form_norm(n, t: TVector) -> float:
 
 def optimal_interaction(sx_sign: int, sz_sign: int) -> np.ndarray:
     """exp[i (pi/4) (sx X x X + sz Z x Z)]; every sign pair reaches F(V) = 1/4."""
-    if sx_sign not in (1, -1) or sz_sign not in (1, -1):
+    # True == 1, so a bool would pass the membership test
+    if any(isinstance(s, (bool, np.bool_)) or s not in (1, -1) for s in (sx_sign, sz_sign)):
         raise ContractError(f"signs must be +1 or -1, got ({sx_sign}, {sz_sign})")
     return canonical_gate([sx_sign * np.pi / 4, 0.0, sz_sign * np.pi / 4])
 

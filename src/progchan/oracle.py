@@ -54,6 +54,14 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class ScanResult:
+    """Outcome of ``minimax_scan``.
+
+    ``evaluations`` is the number of objective values the scan uses: every
+    sweep point plus, for each polish start, the values a one-point-at-a-time
+    Nelder-Mead computes.  The polish also evaluates speculative points that
+    a step then discards; those are not counted.
+    """
+
     f_min: float
     worst_bloch: np.ndarray
     gap_to_closed_form: float
@@ -150,36 +158,49 @@ def _lowest(values: np.ndarray, count: int) -> np.ndarray:
 def _nelder_mead(steps: int, scale: float):
     """Serial Nelder-Mead in a 3-d chart, from a right-angle simplex at the origin.
 
-    A generator: it yields the list of chart points it needs next (4, then 1
-    or 3 at a time), is sent the list of their values, and returns the best
-    (value, point).  Vertices are ranked by value, ties in vertex order.
+    A generator: it yields the list of chart points it needs next, is sent
+    the list of their values, and returns (best value, best point,
+    evaluations).  It asks for the 4 initial vertices, then per step for the
+    reflected, expanded and contracted points together, since all three
+    depend only on the simplex, and for the 3 shrink points when it shrinks.
+    Each step takes the branch the one-point-at-a-time method takes.
+    Vertices are ranked by value, ties in vertex order.
+
+    ``evaluations`` counts the objective values the search uses, which is
+    what a one-point-at-a-time run computes; a speculative value that the
+    chosen branch discards is not counted.
     """
     simplex = [(0.0, 0.0, 0.0), (scale, 0.0, 0.0), (0.0, scale, 0.0), (0.0, 0.0, scale)]
     values = yield simplex
+    evaluations = 4
     for _ in range(steps):
         order = sorted(range(4), key=values.__getitem__)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        best, worst = simplex[0], simplex[3]
-        centroid = [(a + b + c) / 3.0 for a, b, c in zip(*simplex[:3])]
-        reflected = tuple(c + (c - w) for c, w in zip(centroid, worst))
-        (f_ref,) = yield [reflected]
+        (b0, b1, b2), (p0, p1, p2), (q0, q1, q2), (w0, w1, w2) = simplex
+        c0, c1, c2 = (b0 + p0 + q0) / 3.0, (b1 + p1 + q1) / 3.0, (b2 + p2 + q2) / 3.0
+        reflected = (c0 + (c0 - w0), c1 + (c1 - w1), c2 + (c2 - w2))
+        expanded = (c0 + 2.0 * (c0 - w0), c1 + 2.0 * (c1 - w1), c2 + 2.0 * (c2 - w2))
+        contracted = (c0 + 0.5 * (w0 - c0), c1 + 0.5 * (w1 - c1), c2 + 0.5 * (w2 - c2))
+        f_ref, f_exp, f_con = yield [reflected, expanded, contracted]
         if f_ref < values[0]:
-            expanded = tuple(c + 2.0 * (c - w) for c, w in zip(centroid, worst))
-            (f_exp,) = yield [expanded]
+            evaluations += 2
             simplex[3], values[3] = (expanded, f_exp) if f_exp < f_ref else (reflected, f_ref)
         elif f_ref < values[2]:
+            evaluations += 1
             simplex[3], values[3] = reflected, f_ref
+        elif f_con < values[3]:
+            evaluations += 2
+            simplex[3], values[3] = contracted, f_con
         else:
-            contracted = tuple(c + 0.5 * (w - c) for c, w in zip(centroid, worst))
-            (f_con,) = yield [contracted]
-            if f_con < values[3]:
-                simplex[3], values[3] = contracted, f_con
-            else:
-                simplex[1:] = [tuple(b + 0.5 * (x - b) for b, x in zip(best, v)) for v in simplex[1:]]
-                values[1:] = yield simplex[1:]
+            evaluations += 5
+            simplex[1:] = [
+                (b0 + 0.5 * (x0 - b0), b1 + 0.5 * (x1 - b1), b2 + 0.5 * (x2 - b2))
+                for x0, x1, x2 in simplex[1:]
+            ]
+            values[1:] = yield simplex[1:]
     i = min(range(4), key=values.__getitem__)
-    return values[i], simplex[i]
+    return values[i], simplex[i], evaluations
 
 
 def _polish(
@@ -189,9 +210,12 @@ def _polish(
 
     Each start runs its own serial simplex (``_nelder_mead``).  Every round
     maps the points all unfinished starts are waiting for onto S^3 and
-    evaluates them in one kernel call, so a start makes the moves it would
-    make alone.  Returns each start's best value and point, and the total
-    number of evaluations.
+    evaluates them in one kernel call.  Every start waits for at least 3
+    points, so no call has the single row whose rounding differs (see
+    ``kernels``), and a start makes the moves it would make alone, bit for
+    bit.  Returns each start's best value and point, and the sum of the
+    starts' evaluations: the objective values their searches use, not the
+    speculative values a step discards.
     """
     frames = np.array([_tangent_frame(n0) for n0 in starts])
 
@@ -202,12 +226,10 @@ def _polish(
     runs = [_nelder_mead(steps, scale) for _ in starts]
     waiting = {k: next(run) for k, run in enumerate(runs)}
     found = [None] * len(runs)
-    evaluations = 0
     while waiting:
         idx = [k for k, xs in waiting.items() for _ in xs]
         x = [xi for xs in waiting.values() for xi in xs]
         values = fidelity_from_bloch_batch(parts, point(idx, np.array(x))).tolist()
-        evaluations += len(values)
         at = 0
         for k, xs in list(waiting.items()):
             got, at = values[at : at + len(xs)], at + len(xs)
@@ -216,8 +238,8 @@ def _polish(
             except StopIteration as done:
                 found[k] = done.value
                 del waiting[k]
-    best_f, best_x = zip(*found)
-    return np.array(best_f), point(np.arange(len(runs)), np.array(best_x)), evaluations
+    best_f, best_x, evaluations = zip(*found)
+    return np.array(best_f), point(np.arange(len(runs)), np.array(best_x)), sum(evaluations)
 
 
 def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
@@ -274,5 +296,6 @@ def sigma_dominance_check(u, v, n: int, seed: int = 0) -> float:
     programs are drawn and evaluated as one stack.
     """
     _check_count("sample count", n)
+    _check_count("seed", seed)
     sigmas = _random_densities(np.random.default_rng(seed), n)
     return float(np.max(program_overlap(u, v, sigmas), initial=0.0))

@@ -152,6 +152,12 @@ class TestScalarMaps:
         assert avg_io_fidelity(0.0, 2) == pytest.approx(1 / 3, abs=1e-15)
         with pytest.raises(ContractError):
             avg_io_fidelity(0.5, 1)
+        assert avg_io_fidelity(0.25, 2.0) == 0.5
+
+    @pytest.mark.parametrize("d", [float("inf"), float("-inf"), float("nan"), 2.5, "3"])
+    def test_avg_io_bad_dimension(self, d):
+        with pytest.raises(ContractError, match="^dimension must be an integer >= 2, got "):
+            avg_io_fidelity(0.5, d)
 
 
 class TestProgramOverlap:

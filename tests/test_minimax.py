@@ -253,6 +253,12 @@ class TestOptimalInteraction:
         with pytest.raises(ContractError):
             optimal_interaction(0, 1)
 
+    @pytest.mark.parametrize("signs", [(True, 1), (1, True), (False, -1), (np.True_, 1)])
+    def test_bool_signs_rejected(self, signs):
+        # True == 1, yet a bool is no sign
+        with pytest.raises(ContractError, match=r"^signs must be \+1 or -1, got "):
+            optimal_interaction(*signs)
+
 
 class TestControlledUnitary:
     def test_axis_pair(self):

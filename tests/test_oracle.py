@@ -21,7 +21,7 @@ from progchan import (
     sigma_dominance_check,
 )
 from progchan import oracle
-from progchan.kernels import device_parts, fidelity_from_bloch
+from progchan.kernels import device_parts, fidelity_from_bloch, fidelity_from_bloch_batch
 from progchan.oracle import _ALPHAS, AXIS_POINTS, _lowest, _polish, _random_densities
 
 
@@ -252,6 +252,40 @@ class TestLockStepPolish:
         np.testing.assert_allclose(points, [r[1] for r in reference], rtol=0, atol=1e-12)
         assert evaluations == sum(r[2] for r in reference)
 
+    def test_start_independent_of_its_companions(self):
+        # every kernel call has >= 3 rows, so no point takes the one-row BLAS
+        # path and a start's rounding cannot depend on the starts beside it
+        rng = np.random.default_rng(15)
+        for _ in range(24):
+            parts = device_parts(haar_unitary(4, rng))
+            starts = np.array([random_bloch(rng) for _ in range(4)])
+            values, points, _ = _polish(parts, starts, 200, 0.05)
+            for k, n0 in enumerate(starts):
+                alone_value, alone_point, _ = _polish(parts, n0[None], 200, 0.05)
+                np.testing.assert_array_equal(alone_value, values[k : k + 1])
+                np.testing.assert_array_equal(alone_point, points[k : k + 1])
+
+    @pytest.mark.parametrize("n_starts", [1, 4])
+    def test_kernel_calls_per_polish(self, monkeypatch, n_starts):
+        rows = []
+
+        def spy(parts, ns):
+            rows.append(len(ns))
+            return fidelity_from_bloch_batch(parts, ns)
+
+        monkeypatch.setattr(oracle, "fidelity_from_bloch_batch", spy)
+        rng = np.random.default_rng(16)
+        parts = device_parts(haar_unitary(4, rng))
+        starts = np.array([random_bloch(rng) for _ in range(n_starts)])
+        steps = 50
+        _, _, evaluations = _polish(parts, starts, steps, 0.05)
+        # the initial simplices, then at least one round per step
+        assert len(rows) >= 1 + steps
+        assert min(rows) >= 3
+        assert rows[0] == 4 * n_starts
+        # speculative points are computed but not counted
+        assert sum(rows) > evaluations
+
     @pytest.mark.parametrize("n_starts", [1, 4])
     def test_no_steps_returns_best_initial_vertex(self, n_starts):
         rng = np.random.default_rng(14)
@@ -312,6 +346,19 @@ class TestSigmaDominance:
     def test_bad_sample_count(self, n, message):
         with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
             sigma_dominance_check(np.eye(2), np.eye(4), n)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (-1, "seed must be >= 0, got -1"),
+            (1.5, "seed must be an integer, got 1.5"),
+            (True, "seed must be an integer, got True"),
+        ],
+        ids=["negative", "float", "bool"],
+    )
+    def test_bad_seed(self, seed, message):
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            sigma_dominance_check(np.eye(2), np.eye(4), 10, seed=seed)
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ContractError):
