@@ -110,17 +110,22 @@ def program_overlap(u, v, sigma):
     return values if sigma.ndim == 3 else float(values)
 
 
+def _check_fidelity(f) -> None:
+    """ContractError unless f is a real number in [0, 1], up to rounding."""
+    # bool is Real but no fidelity; np.bool_ is not Real
+    if not isinstance(f, Real) or isinstance(f, bool) or not -1e-12 <= f <= 1.0 + 1e-12:
+        raise ContractError(f"fidelity must lie in [0, 1], got {f!r}")
+
+
 def distance(f: float) -> float:
     """Channel distance sqrt(1 - F) induced by the fidelity."""
-    if not -1e-12 <= f <= 1.0 + 1e-12:
-        raise ContractError(f"fidelity must lie in [0, 1], got {f!r}")
+    _check_fidelity(f)
     return float(np.sqrt(max(1.0 - f, 0.0)))
 
 
 def avg_io_fidelity(f: float, d: int) -> float:
     """Input-output fidelity averaged over pure states: (1 + d F) / (d + 1)."""
-    if not -1e-12 <= f <= 1.0 + 1e-12:
-        raise ContractError(f"fidelity must lie in [0, 1], got {f!r}")
+    _check_fidelity(f)
     # finite first: int() of inf or NaN raises before the comparison could fail
     if not (isinstance(d, Real) and math.isfinite(d) and d >= 2 and int(d) == d):
         raise ContractError(f"dimension must be an integer >= 2, got {d!r}")

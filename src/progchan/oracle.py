@@ -13,6 +13,7 @@ from numbers import Integral
 
 import numpy as np
 
+from . import _scan_py
 from .channels import program_overlap
 from .errors import ContractError
 # fidelity_from_bloch is unused here but stays bound: perfbench/tracing.py
@@ -98,24 +99,21 @@ def random_density(rng) -> np.ndarray:
     return _random_densities(rng, 1)[0]
 
 
-def sample_su2(config: ScanConfig) -> np.ndarray:
-    """Deterministic low-discrepancy Bloch points, axis points first.
+def _sequence_points(offset: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Sequence points at the 1-based indices k, coordinate-major, shape (4, len(k)).
 
-    The additive recurrence u_i = frac(offset + alpha (i+1)) fills the unit
-    cube, and the standard area-preserving map carries it onto S^3.  With a
-    fixed seed the sequence is prefix-nested: raising the resolution only
-    appends points.  The work runs coordinate-major, (3, n) then (4, n), so
-    every ufunc makes one long pass.
+    The additive recurrence u_k = frac(offset + alpha k) fills the unit
+    cube, and the standard area-preserving map carries it onto S^3.  Each
+    point depends on its own index only, so any set of indices gives the
+    same bits as the full sequence.
     """
-    n_seq = config.resolution - len(AXIS_POINTS)  # >= 92: ScanConfig wants resolution >= 100
-    offset = np.random.default_rng(config.seed).random(3)
-    u = _ALPHAS[:, None] * np.arange(1, n_seq + 1)
+    u = _ALPHAS[:, None] * k
     u += offset[:, None]
-    coords = np.empty((4, n_seq))
+    coords = np.empty((4, len(k)))
     u -= np.floor(u, out=coords[:3])  # frac(), exact for these non-negative arguments
     angles = u[1:]
     angles *= 2 * np.pi  # azimuth, polar
-    radii = np.empty((2, n_seq))  # low, high
+    radii = np.empty((2, len(k)))  # low, high
     np.subtract(1.0, u[0], out=radii[0])
     radii[1] = u[0]
     np.sqrt(radii, out=radii)
@@ -123,7 +121,54 @@ def sample_su2(config: ScanConfig) -> np.ndarray:
     np.cos(angles, out=coords[1::2])
     coords[0::2] *= radii
     coords[1::2] *= radii
-    return np.concatenate([AXIS_POINTS, coords.T])
+    return coords
+
+
+def _sample_block(offset: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start:stop of ``sample_su2``'s output, built without the other rows."""
+    n_axis = len(AXIS_POINTS)
+    seq = _sequence_points(offset, np.arange(max(start, n_axis), stop) - (n_axis - 1)).T
+    if start >= n_axis:
+        return seq
+    return np.concatenate([AXIS_POINTS[start:stop], seq])
+
+
+def _sample_rows(offset: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows of ``sample_su2``'s output at the given indices, built without the others."""
+    rows = np.asarray(rows)
+    out = np.empty((len(rows), 4))
+    axis = rows < len(AXIS_POINTS)
+    out[axis] = AXIS_POINTS[rows[axis]]
+    out[~axis] = _sequence_points(offset, rows[~axis] - (len(AXIS_POINTS) - 1)).T
+    return out
+
+
+def _offset(config: ScanConfig) -> np.ndarray:
+    """The seeded start of the recurrence, one coordinate per cube axis."""
+    return np.random.default_rng(config.seed).random(3)
+
+
+def sample_su2(config: ScanConfig) -> np.ndarray:
+    """Deterministic low-discrepancy Bloch points, axis points first.
+
+    The sequence points follow the axis points (``_sequence_points``).  With
+    a fixed seed the sample is prefix-nested: raising the resolution only
+    appends points.  ``minimax_scan`` never builds this array unless asked
+    for a trace; it streams the same rows block by block.
+    """
+    return _sample_block(_offset(config), 0, config.resolution)
+
+
+def _sweep(parts, offset: np.ndarray, n: int) -> np.ndarray:
+    """The kernel's value at each of the first n sample rows, bit for bit as on ``sample_su2``.
+
+    The rows are generated and evaluated one kernel block at a time
+    (``_scan_py.block_bounds``), so only one block of points exists at once.
+    """
+    values = np.empty(n)
+    for start, stop in _scan_py.block_bounds(n):
+        values[start:stop] = fidelity_from_bloch_batch(parts, _sample_block(offset, start, stop))
+    return values
 
 
 def _tangent_frame(n: np.ndarray) -> np.ndarray:
@@ -245,32 +290,36 @@ def _polish(
 def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
     """Scan the target group for the worst fidelity and polish the incumbents.
 
-    ``trace_path`` optionally writes a CSV of (index, n0..n3, fidelity) for
-    the sweep phase.
+    The sweep evaluates every row of ``sample_su2(config)`` but generates
+    them one kernel block at a time and keeps only the values; the minimum
+    and the polish seeds are rebuilt from their row indices.  ``trace_path``
+    optionally writes a CSV of (index, n0..n3, fidelity) for the sweep
+    phase, the one case that builds the whole sample.
     """
     parts = device_parts(v)
-    points = sample_su2(config)
-    values = fidelity_from_bloch_batch(parts, points)
-    evaluations = len(points)
+    offset = _offset(config)
+    values = _sweep(parts, offset, config.resolution)
+    evaluations = len(values)
 
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", "n0", "n1", "n2", "n3", "fidelity"])
-            for i, (p, f) in enumerate(zip(points, values)):
+            for i, (p, f) in enumerate(zip(sample_su2(config), values)):
                 writer.writerow([i, *(repr(float(x)) for x in (*p, f))])
 
     best = int(np.argmin(values))
     f_min = float(values[best])
-    worst = points[best].copy()
+    # only the rows the scan reads are rebuilt: the minimum and the polish seeds
+    seeds = _lowest(values, 16) if config.refine_steps > 0 else []
+    worst, *seed_points = _sample_rows(offset, [best, *seeds])
 
     if config.refine_steps > 0:
         scale = max((2 * np.pi**2 / config.resolution) ** (1.0 / 3.0), 1e-3)
         candidates = [worst]
-        for i in _lowest(values, 16):
-            p = points[i]
+        for p in seed_points:
             if all(min(np.linalg.norm(p - c), np.linalg.norm(p + c)) > 0.1 for c in candidates):
-                candidates.append(p.copy())
+                candidates.append(p)
             if len(candidates) == 4:
                 break
         f_loc, n_loc, used = _polish(parts, np.array(candidates), config.refine_steps, scale)

@@ -5,7 +5,17 @@ from pathlib import Path
 
 import numpy as np
 
-from progchan import PAULI, kron, matrix_to_obj, program_overlap, s_operator, theta_from_alpha
+from progchan import (
+    PAULI,
+    kron,
+    matrix_to_obj,
+    oracle,
+    program_overlap,
+    s_operator,
+    sample_su2,
+    theta_from_alpha,
+)
+from progchan.kernels import device_parts, fidelity_from_bloch_batch
 
 
 def write_matrix(m, path):
@@ -170,3 +180,34 @@ def serial_polish(objective, n0, steps, scale):
                     values[i] = chart_objective(simplex[i])
     best = int(np.argmin(values))
     return float(values[best]), point(simplex[best]), evaluations
+
+
+def materialized_scan(v, config):
+    """minimax_scan on the whole sample at once, the streamed scan's reference.
+
+    Builds every point with ``sample_su2``, sweeps them in one kernel call,
+    then polishes from the lowest rows of that array.  Returns (f_min,
+    worst Bloch point, evaluations).
+    """
+    parts = device_parts(v)
+    points = sample_su2(config)
+    values = fidelity_from_bloch_batch(parts, points)
+    evaluations = len(points)
+    best = int(np.argmin(values))
+    f_min = float(values[best])
+    worst = points[best].copy()
+    if config.refine_steps > 0:
+        scale = max((2 * np.pi**2 / config.resolution) ** (1.0 / 3.0), 1e-3)
+        candidates = [worst]
+        for i in oracle._lowest(values, 16):
+            p = points[i]
+            if all(min(np.linalg.norm(p - c), np.linalg.norm(p + c)) > 0.1 for c in candidates):
+                candidates.append(p.copy())
+            if len(candidates) == 4:
+                break
+        f_loc, n_loc, used = oracle._polish(parts, np.array(candidates), config.refine_steps, scale)
+        evaluations += used
+        for f, n in zip(f_loc, n_loc):
+            if f < f_min:
+                f_min, worst = float(f), n
+    return f_min, worst, evaluations

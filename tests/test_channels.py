@@ -154,6 +154,13 @@ class TestScalarMaps:
             avg_io_fidelity(0.5, 1)
         assert avg_io_fidelity(0.25, 2.0) == 0.5
 
+    @pytest.mark.parametrize("f", [True, False, np.True_], ids=["True", "False", "np.True_"])
+    def test_bool_fidelity_rejected(self, f):
+        with pytest.raises(ContractError, match="^fidelity must lie in"):
+            distance(f)
+        with pytest.raises(ContractError, match="^fidelity must lie in"):
+            avg_io_fidelity(f, 2)
+
     @pytest.mark.parametrize("d", [float("inf"), float("-inf"), float("nan"), 2.5, "3"])
     def test_avg_io_bad_dimension(self, d):
         with pytest.raises(ContractError, match="^dimension must be an integer >= 2, got "):

@@ -56,6 +56,12 @@ class TestThetaFromAlpha:
                 ket = pauli(j).reshape(-1) / np.sqrt(2)
                 np.testing.assert_allclose(v @ ket, np.exp(1j * theta[j]) * ket, atol=1e-13)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn", [theta_from_alpha, canonical_gate])
+    def test_non_finite_alpha_rejected(self, fn, bad):
+        with pytest.raises(ContractError, match=r"^alpha must be finite, got \["):
+            fn([bad, 0.1, 0.0])
+
 
 class TestSOperator:
     def test_identity_device(self):

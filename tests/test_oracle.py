@@ -1,9 +1,16 @@
 import functools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import random_bloch, random_chamber_alpha, serial_polish, sigma_dominance_loop
+from helpers import (
+    materialized_scan,
+    random_bloch,
+    random_chamber_alpha,
+    serial_polish,
+    sigma_dominance_loop,
+)
 
 from progchan import (
     ContractError,
@@ -162,6 +169,60 @@ class TestMinimaxScan:
     def test_non_unitary_rejected(self):
         with pytest.raises(ContractError):
             minimax_scan(np.ones((4, 4)), ScanConfig(resolution=200, seed=0))
+
+
+class TestStreamedSweep:
+    # sample rows around the kernel's block boundaries (4096 rows; a lone last
+    # row joins the block before it), and sequence lengths of 4096 + a few
+    RESOLUTIONS = (100, 4096, 4097, 4098, 2 * 4096 + 1, 4104, 4105, 4106, 2 * 4096 + 9, 100_000)
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_sweep_equals_full_sample(self, seed):
+        parts = device_parts(haar_unitary(4, np.random.default_rng(seed)))
+        for resolution in self.RESOLUTIONS:
+            config = ScanConfig(resolution=resolution, seed=seed)
+            streamed = oracle._sweep(parts, oracle._offset(config), resolution)
+            np.testing.assert_array_equal(streamed, fidelity_from_bloch_batch(parts, sample_su2(config)))
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_rows_rebuilt_from_index(self, seed):
+        config = ScanConfig(resolution=100_000, seed=seed)
+        full = sample_su2(config)
+        offset = oracle._offset(config)
+        n_axis = len(AXIS_POINTS)
+        random = np.random.default_rng(seed).integers(0, len(full), 50)
+        rows = np.concatenate([np.arange(n_axis), [n_axis, len(full) - 1], random])
+        np.testing.assert_array_equal(oracle._sample_rows(offset, rows), full[rows])
+        for start, stop in ((0, 3), (2, 8), (5, 4101), (8, 9), (4096, 8192), (99_999, 100_000)):
+            np.testing.assert_array_equal(oracle._sample_block(offset, start, stop), full[start:stop])
+
+    def test_peak_memory_independent_of_sample(self):
+        v = canonical_gate([0.3, 0.2, 0.1])
+        config = ScanConfig(resolution=200_000, refine_steps=0, seed=1)
+        minimax_scan(v, ScanConfig(resolution=5000, refine_steps=0, seed=1))  # warm-up
+        tracemalloc.start()
+        try:
+            minimax_scan(v, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the values array is 8 B per point; a materialized sample adds 32 B
+        # per point of coordinates and more in temporaries
+        assert peak < 24 * config.resolution + 2_000_000
+
+    def test_matches_materialized_scan(self):
+        rng = np.random.default_rng(41)
+        devices = [haar_unitary(4, rng) for _ in range(6)]
+        devices += [canonical_gate(random_chamber_alpha(rng)) for _ in range(4)]
+        devices += [optimal_interaction(1, 1), np.eye(4, dtype=complex)]
+        for k, v in enumerate(devices):
+            for resolution, steps in ((10_000, 30), (4097, 20), (8201, 0)):
+                config = ScanConfig(resolution=resolution, refine_steps=steps, seed=k)
+                f_min, worst, evaluations = materialized_scan(v, config)
+                result = minimax_scan(v, config)
+                assert result.f_min == f_min
+                np.testing.assert_array_equal(result.worst_bloch, worst)
+                assert result.evaluations == evaluations
 
 
 class TestLowest:
