@@ -65,22 +65,26 @@ def apply_programmed(v, sigma, rho) -> np.ndarray:
     return _programmed_action(v, sigma, rho)
 
 
+def _choi_matrix(v, sigma) -> np.ndarray:
+    """Choi matrix of the programmed channel, without input validation.
+
+    Its block (i, j) is Tr_2[V (|i><j| x sigma) V^dag].  With
+    A[(i, a), (c, k)] = V[(a, c), (i, k)] the whole matrix is
+    A (I x sigma) A^dag, two matmuls.
+    """
+    a = v.reshape(2, 2, 2, 2).transpose(2, 0, 1, 3).reshape(4, 4)
+    return (a.reshape(8, 2) @ sigma).reshape(4, 4) @ a.conj().T
+
+
 def program_channel(v, sigma) -> KrausChannel:
     """Kraus family of the programmed channel, extracted from its Choi matrix.
 
-    The map is applied to the four matrix units |i><j|, the resulting 4x4
-    Choi matrix is eigendecomposed, and eigenpairs above CHOI_RANK_CUTOFF
-    become Kraus operators.
+    The Choi matrix is eigendecomposed, and eigenpairs above
+    CHOI_RANK_CUTOFF become Kraus operators.
     """
     v = assert_unitary(v, 4, name="joint unitary")
     sigma = _assert_state(sigma, "program state")
-    choi = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[i, j] = 1.0
-            choi[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = _programmed_action(v, sigma, unit)
-    evals, vecs = hermitian_eig(choi)
+    evals, vecs = hermitian_eig(_choi_matrix(v, sigma))
     ops = []
     for lam, col in zip(evals, vecs.T):
         if lam > CHOI_RANK_CUTOFF:
@@ -105,8 +109,9 @@ def program_overlap(u, v, sigma):
     """
     sigma = assert_density(sigma, name="program state")
     s = s_operator(u, v)
-    product = np.swapaxes(sigma, -1, -2) @ s.conj().T @ s
-    values = np.clip(np.trace(product, axis1=-2, axis2=-1).real / 4.0, 0.0, 1.0)
+    # Tr[sigma^T H] = sum_ab sigma_ab H_ab: one (n, 4) @ (4,) product
+    flat = sigma.reshape(sigma.shape[:-2] + (4,))
+    values = np.clip((flat @ (s.conj().T @ s).reshape(4)).real / 4.0, 0.0, 1.0)
     return values if sigma.ndim == 3 else float(values)
 
 

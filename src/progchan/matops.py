@@ -56,20 +56,28 @@ def partial_trace(m, subsystem: int) -> np.ndarray:
     raise DimensionError(f"subsystem must be 1 or 2, got {subsystem}")
 
 
+def _min_eigenvalue_2x2(ms) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each state of an (n, 2, 2)
+    stack: (a + d)/2 - hypot((a - d)/2, |b|) for [[a, b], [b^*, d]]."""
+    a = ms[:, 0, 0].real
+    d = ms[:, 1, 1].real
+    b = (ms[:, 0, 1] + ms[:, 1, 0].conj()) / 2
+    return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(b))
+
+
 def density_mask(ms, tol: float = DECOMP_TOL) -> np.ndarray:
-    """Per-state test over an (n, d, d) stack: Hermitian, unit trace and
+    """Per-state test over an (n, 2, 2) stack: Hermitian, unit trace and
     positive semidefinite (to -tol).
 
-    The eigenvalues are computed, in one batched call, only when every state
-    passes the cheap tests, so a non-finite entry never reaches eigvalsh.
+    The smallest eigenvalue is computed, in closed form, only for the states
+    that pass the cheap tests, so a non-finite entry never reaches it.
     """
     ms = np.asarray(ms, dtype=complex)
     adjoint = ms.conj().swapaxes(-1, -2)
     trace = np.trace(ms, axis1=-2, axis2=-1)
     ok = (np.abs(ms - adjoint) <= tol).all(axis=(-2, -1))
     ok &= (np.abs(trace.real - 1.0) <= tol) & (np.abs(trace.imag) <= tol)
-    if ok.all():
-        ok = np.linalg.eigvalsh((ms + adjoint) / 2)[..., 0] >= -tol
+    ok[ok] = _min_eigenvalue_2x2(ms[ok]) >= -tol
     return ok
 
 

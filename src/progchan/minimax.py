@@ -71,7 +71,12 @@ class CanonicalForm:
 
 @dataclass(frozen=True)
 class MinimaxReport:
-    """Worst-case fidelity of a device, with the witnesses that achieve it."""
+    """Worst-case fidelity of a device, with the witnesses that achieve it.
+
+    ``optimal_sigma`` is the maximally mixed state I/2: at ``worst_unitary``
+    every program attains ``fidelity`` (see :func:`worst_case_fidelity`), so
+    no program state is singled out.
+    """
 
     fidelity: float
     epsilon: float
@@ -125,8 +130,9 @@ def fidelity_uv(u, v) -> tuple[float, np.ndarray]:
     """Best-program fidelity F(U, V) = ||S||^2 / 4 and a program achieving it.
 
     The optimal program state is the transpose of the projector onto the top
-    eigenvector of S^dag S; when the top eigenvalue is degenerate any state
-    in the eigenspace works and the canonical eigenvector is returned.
+    eigenvector of S^dag S.  When the top eigenvalue is degenerate any state
+    in the eigenspace works, and the returned one is whichever vector eigh
+    gives first: rounding decides which, so it is not a canonical choice.
     """
     s = s_operator(u, v)
     evals, vecs = hermitian_eig(s.conj().T @ s)
@@ -352,7 +358,9 @@ def worst_case_fidelity(v) -> MinimaxReport:
 
     Local unitaries around the canonical core do not change the value; they
     only dress the worst target, which is W1 sigma_{j*} W3 with j* the
-    (lowest-index) minimizer of |t_j|.
+    (lowest-index) minimizer of |t_j|.  There S is a multiple of a unitary,
+    so every program state is optimal, and I/2 is returned; no eigenvector
+    of S^dag S is computed.
     """
     form = kraus_cirac_decompose(v)
     t = hadamard_t(theta_from_alpha(form.alpha))
@@ -360,7 +368,10 @@ def worst_case_fidelity(v) -> MinimaxReport:
     j_star = int(np.argmax(t.moduli <= t.moduli.min() + 1e-12))
     fidelity = float(t.moduli.min() ** 2 / 4.0)
     worst = form.w1 @ PAULI[j_star] @ form.w3
-    _, sigma = fidelity_uv(worst, v)
+    # By local covariance S(worst, V) = c W2^* sigma_{j*} W4^* with
+    # |c| = |t_{j*}|, a multiple of a unitary, so S^dag S = 4 F I and every
+    # program attains F: an eigenvector of S^dag S would be rounding noise.
+    sigma = np.eye(2, dtype=complex) / 2
     return MinimaxReport(
         fidelity=fidelity,
         epsilon=float(np.sqrt(max(1.0 - fidelity, 0.0))),

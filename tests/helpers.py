@@ -7,15 +7,35 @@ import numpy as np
 
 from progchan import (
     PAULI,
+    canonical_gate,
+    haar_unitary,
     kron,
     matrix_to_obj,
     oracle,
+    partial_trace,
     program_overlap,
+    random_density,
     s_operator,
     sample_su2,
     theta_from_alpha,
 )
 from progchan.kernels import device_parts, fidelity_from_bloch_batch
+
+Q = np.pi / 4
+
+#: degenerate and chamber-boundary interactions (corners, faces and edges)
+ADVERSARIAL_ALPHAS = {
+    "corner-identity": (0.0, 0.0, 0.0),
+    "corner-cnot": (Q, 0.0, 0.0),
+    "corner-iswap": (Q, Q, 0.0),
+    "corner-swap": (Q, Q, Q),
+    "corner-swap-mirror": (Q, Q, -Q),
+    "a1-eq-a2": (0.5, 0.5, 0.2),
+    "a2-eq-a3": (0.6, 0.3, 0.3),
+    "a2-eq-minus-a3": (0.6, 0.3, -0.3),
+    "a3-zero": (0.5, 0.3, 0.0),
+    "a1-quarter": (Q, 0.3, 0.2),
+}
 
 
 def write_matrix(m, path):
@@ -41,6 +61,42 @@ def einsum_fidelity_batch(parts, ns):
     mean = 0.5 * (h00 + h11)
     diff = 0.5 * (h00 - h11)
     return 0.25 * (mean + np.sqrt(diff * diff + np.abs(h01) ** 2))
+
+
+def dressed(alpha, rng):
+    """canonical_gate(alpha) between seeded Haar locals, with a random global phase."""
+    before = kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    after = kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    return np.exp(2j * np.pi * rng.random()) * after @ canonical_gate(alpha) @ before
+
+
+def random_pure_density(rng):
+    """|psi><psi| for a Haar-random qubit state psi."""
+    psi = haar_unitary(2, rng)[:, 0]
+    return np.outer(psi, psi.conj())
+
+
+def random_programs(rng, n):
+    """n program states, alternately pure and mixed, as an (n, 2, 2) stack."""
+    draw = (random_pure_density, random_density)
+    return np.array([draw[i % 2](rng) for i in range(n)])
+
+
+def matrix_unit_choi(v, sigma):
+    """The programmed channel's Choi matrix, one matrix unit |i><j| at a time.
+
+    Block (i, j) is Tr_2[V (|i><j| x sigma) V^dag], each from a kron, two
+    matmuls and a partial trace: the construction the library used before
+    its two-matmul form, kept as the reference.
+    """
+    choi = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            unit = np.zeros((2, 2), dtype=complex)
+            unit[i, j] = 1.0
+            joint = v @ kron(unit, sigma) @ v.conj().T
+            choi[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = partial_trace(joint, 2)
+    return choi
 
 
 def brute_partial_trace(m, subsystem):

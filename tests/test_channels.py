@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from helpers import random_chamber_alpha, spectral_kraus_family
+from helpers import (
+    matrix_unit_choi,
+    random_chamber_alpha,
+    random_pure_density,
+    spectral_kraus_family,
+)
 
 from progchan import (
     ContractError,
@@ -19,6 +24,7 @@ from progchan import (
     random_density,
     s_operator,
 )
+from progchan.channels import CHOI_RANK_CUTOFF, _choi_matrix
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 I4 = np.eye(4)
@@ -108,6 +114,30 @@ class TestProgramChannel:
             u = haar_unitary(2, rng)
             ref_sum = sum(abs(np.trace(k.conj().T @ u)) ** 2 for k in reference) / 4.0
             assert channel_fidelity(u, channel) == pytest.approx(ref_sum, abs=1e-10)
+
+
+class TestChoiMatrix:
+    """The two-matmul Choi matrix against the matrix-unit construction."""
+
+    def test_matches_matrix_unit_construction(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            v = haar_unitary(4, rng)
+            for sigma in (random_pure_density(rng), random_density(rng)):
+                np.testing.assert_allclose(
+                    _choi_matrix(v, sigma), matrix_unit_choi(v, sigma), rtol=0, atol=1e-15
+                )
+
+    def test_kraus_family_rebuilds_it(self):
+        # sum_i vec K_i vec K_i^dag, with K = col.reshape(2, 2).T as extracted
+        rng = np.random.default_rng(31)
+        for v in (SWAP, I4, optimal_interaction(1, 1), *(haar_unitary(4, rng) for _ in range(20))):
+            for sigma in (random_pure_density(rng), random_density(rng), np.eye(2) / 2):
+                cols = [k.T.reshape(4) for k in program_channel(v, sigma).ops]
+                rebuilt = sum(np.outer(c, c.conj()) for c in cols)
+                np.testing.assert_allclose(
+                    rebuilt, matrix_unit_choi(v, sigma), rtol=0, atol=4 * CHOI_RANK_CUTOFF
+                )
 
 
 class TestChannelFidelity:

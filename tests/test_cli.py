@@ -6,6 +6,8 @@ import pytest
 from helpers import write_matrix
 
 from progchan import (
+    KrausChannel,
+    channel_fidelity,
     haar_unitary,
     obj_to_matrix,
     optimal_interaction,
@@ -61,6 +63,24 @@ class TestWorstCase:
         code, out, _ = run(capsys, "worst-case", "--v", files["v_opt"], "--out", out_path)
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["fidelity"] == pytest.approx(0.25, abs=1e-12)
+
+
+class TestChain:
+    """worst-case's program state fed to program programs the worst target."""
+
+    @pytest.mark.parametrize("device", ["v_haar", "v_opt", "v_id", "swap"])
+    def test_worst_case_sigma_into_program(self, files, capsys, device):
+        wc = files["tmp"] / "wc.json"
+        assert run(capsys, "worst-case", "--v", files[device], "--out", wc)[0] == 0
+        report = json.loads(wc.read_text())
+        np.testing.assert_array_equal(obj_to_matrix(report["optimal_sigma"]), [[0.5, 0], [0, 0.5]])
+        sigma = files["tmp"] / "wc_sigma.json"
+        sigma.write_text(json.dumps(report["optimal_sigma"]))
+        code, out, _ = run(capsys, "program", "--v", files[device], "--sigma", sigma)
+        assert code == 0
+        channel = KrausChannel(tuple(obj_to_matrix(k) for k in json.loads(out)["kraus"]))
+        f = channel_fidelity(obj_to_matrix(report["worst_unitary"]), channel)
+        assert abs(f - report["fidelity"]) <= 1e-10
 
 
 class TestFidelity:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import is_unitary, random_chamber_alpha
+from helpers import ADVERSARIAL_ALPHAS, dressed, is_unitary, random_chamber_alpha
 
 from progchan import (
     CanonicalForm,
@@ -106,13 +106,6 @@ class TestInputValidation:
             kraus_cirac_decompose(np.eye(2))
 
 
-def dressed(alpha, rng):
-    """canonical_gate(alpha) between seeded Haar locals, with a random global phase."""
-    before = kron(haar_unitary(2, rng), haar_unitary(2, rng))
-    after = kron(haar_unitary(2, rng), haar_unitary(2, rng))
-    return np.exp(2j * np.pi * rng.random()) * after @ canonical_gate(alpha) @ before
-
-
 class TestAdversarialSet:
     """Degenerate and chamber-boundary interactions, perturbed and dressed.
 
@@ -122,18 +115,7 @@ class TestAdversarialSet:
     """
 
     Q = np.pi / 4
-    ALPHAS = {
-        "corner-identity": (0.0, 0.0, 0.0),
-        "corner-cnot": (Q, 0.0, 0.0),
-        "corner-iswap": (Q, Q, 0.0),
-        "corner-swap": (Q, Q, Q),
-        "corner-swap-mirror": (Q, Q, -Q),
-        "a1-eq-a2": (0.5, 0.5, 0.2),
-        "a2-eq-a3": (0.6, 0.3, 0.3),
-        "a2-eq-minus-a3": (0.6, 0.3, -0.3),
-        "a3-zero": (0.5, 0.3, 0.0),
-        "a1-quarter": (Q, 0.3, 0.2),
-    }
+    ALPHAS = ADVERSARIAL_ALPHAS
     SCALES = (0.0, 1e-14, 1e-10, 1e-7, 1e-5)
 
     @pytest.mark.parametrize("name", ALPHAS)

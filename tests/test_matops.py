@@ -18,9 +18,17 @@ from progchan import (
     pauli,
     program_channel,
     program_overlap,
+    random_density,
 )
 from progchan.kernels import device_parts
-from progchan.matops import assert_density, assert_unitary, hermitian_eig
+from progchan.matops import (
+    DECOMP_TOL,
+    _min_eigenvalue_2x2,
+    assert_density,
+    assert_unitary,
+    density_mask,
+    hermitian_eig,
+)
 
 I2 = np.eye(2)
 I4 = np.eye(4)
@@ -171,6 +179,56 @@ class TestPredicates:
         for bad in (I2, np.diag([1.5, -0.5]), nan):
             with pytest.raises(ContractError, match="is not a valid density matrix"):
                 assert_density(bad)
+
+
+def rotated(rng, low):
+    """U diag(1 - low, low) U^dag for a Haar U: unit trace, smallest eigenvalue low."""
+    u = haar_unitary(2, rng)
+    return u @ np.diag([1.0 - low, low]) @ u.conj().T
+
+
+def eigvalsh_min(ms):
+    return np.linalg.eigvalsh((ms + ms.conj().swapaxes(-1, -2)) / 2)[:, 0]
+
+
+class TestDensityMask:
+    """The closed-form smallest eigenvalue decides as eigvalsh does."""
+
+    def test_matches_eigvalsh(self):
+        rng = np.random.default_rng(20)
+        states = [random_density(rng) for _ in range(400)]
+        states += [rotated(rng, 0.0) for _ in range(200)]  # pure
+        states += [rotated(rng, low) for low in rng.uniform(-0.5, 0.5, 400)]
+        ms = np.array(states)
+        np.testing.assert_allclose(_min_eigenvalue_2x2(ms), eigvalsh_min(ms), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(density_mask(ms), eigvalsh_min(ms) >= -DECOMP_TOL)
+
+    def test_tolerance_boundary(self):
+        rng = np.random.default_rng(21)
+        lows = np.repeat([-DECOMP_TOL + 1e-12, -DECOMP_TOL - 1e-12], 50)
+        ms = np.array([rotated(rng, low) for low in lows])
+        expected = eigvalsh_min(ms) >= -DECOMP_TOL
+        np.testing.assert_array_equal(expected, lows > -DECOMP_TOL)
+        np.testing.assert_array_equal(density_mask(ms), expected)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {3: np.diag([1.2, -0.2]), 7: np.diag([1.1, -0.1])},
+            {2: np.diag([0.6, 0.6]), 6: np.diag([1.2, -0.2])},
+            {1: np.diag([1.2, -0.2]), 4: np.array([[0.5, 0.3], [0.1, 0.5]])},
+            {5: np.full((2, 2), np.nan)},
+        ],
+        ids=["two-negative", "trace-then-negative", "negative-then-hermitian", "nan"],
+    )
+    def test_stack_names_first_bad_state(self, bad):
+        rng = np.random.default_rng(22)
+        ms = np.array([random_density(rng) for _ in range(9)])
+        for i, state in bad.items():
+            ms[i] = state
+        first = min(bad)
+        with pytest.raises(ContractError, match=f"^program state {first} is not"):
+            assert_density(ms, name="program state")
 
 
 class TestGlobalPhase:

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
-from helpers import controlled_device, is_unitary, random_bloch, random_chamber_alpha, sv_norm_sq
+from helpers import (
+    ADVERSARIAL_ALPHAS,
+    controlled_device,
+    dressed,
+    is_unitary,
+    random_bloch,
+    random_chamber_alpha,
+    random_programs,
+    sv_norm_sq,
+)
 
 from progchan import (
     ContractError,
+    minimax,
     bloch_to_matrix,
     canonical_gate,
     closed_form_norm,
@@ -244,6 +254,61 @@ class TestWorstCase:
         for j in range(4):
             f, _ = fidelity_uv(form.w1 @ pauli(j) @ form.w3, v)
             assert f == pytest.approx(rep.fidelity, abs=1e-9)
+
+
+def degeneracy_devices(group, rng):
+    """Devices of one kind, for the degeneracy of S at the worst target."""
+    if group == "haar":
+        return [haar_unitary(4, rng) for _ in range(20)]
+    if group == "optimal":
+        return [dressed((np.pi / 4, 0.0, sz * np.pi / 4), rng) for sz in (1, -1) for _ in range(5)]
+    if group == "quarter-face":
+        alphas = [(np.pi / 4, a2, rng.uniform(-a2, a2)) for a2 in rng.uniform(0, np.pi / 4, 10)]
+        return [dressed(alpha, rng) for alpha in alphas]
+    if group == "adversarial":
+        return [
+            dressed(np.array(alpha) + scale * rng.uniform(-1, 1, 3), rng)
+            for alpha in ADVERSARIAL_ALPHAS.values()
+            for scale in (0.0, 1e-14, 1e-10, 1e-7, 1e-5)
+        ]
+    basis = haar_unitary(2, rng)
+    return [controlled_device(haar_unitary(2, rng), haar_unitary(2, rng), basis) for _ in range(5)]
+
+
+class TestWorstTargetDegeneracy:
+    """At the worst target S is a multiple of a unitary, so every program is
+    optimal there and the report's I/2 attains F."""
+
+    GROUPS = ("haar", "optimal", "quarter-face", "adversarial", "controlled")
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_s_dag_s_is_scalar(self, group):
+        rng = np.random.default_rng(self.GROUPS.index(group) + 50)
+        for v in degeneracy_devices(group, rng):
+            rep = worst_case_fidelity(v)
+            s = s_operator(rep.worst_unitary, v)
+            gap = np.max(np.abs(s.conj().T @ s - 4 * rep.fidelity * I2))
+            assert gap <= 1e-12
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_every_program_attains_f(self, group):
+        rng = np.random.default_rng(self.GROUPS.index(group) + 60)
+        for v in degeneracy_devices(group, rng):
+            rep = worst_case_fidelity(v)
+            np.testing.assert_array_equal(rep.optimal_sigma, I2 / 2)
+            sigmas = np.concatenate([random_programs(rng, 199), [rep.optimal_sigma]])
+            values = program_overlap(rep.worst_unitary, v, sigmas)
+            assert np.max(np.abs(values - rep.fidelity)) <= 1e-10
+
+    def test_no_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("worst_case_fidelity must not call this")
+
+        for name in ("fidelity_uv", "s_operator", "hermitian_eig"):
+            monkeypatch.setattr(minimax, name, refuse)
+        rng = np.random.default_rng(70)
+        for v in (I4, optimal_interaction(1, -1), haar_unitary(4, rng)):
+            assert worst_case_fidelity(v).fidelity <= 0.25 + 1e-12
 
 
 class TestOptimalInteraction:

@@ -8,6 +8,7 @@ from helpers import (
     materialized_scan,
     random_bloch,
     random_chamber_alpha,
+    random_programs,
     serial_polish,
     sigma_dominance_loop,
 )
@@ -24,6 +25,7 @@ from progchan import (
     pauli,
     program_overlap,
     random_density,
+    s_operator,
     sample_su2,
     sigma_dominance_check,
 )
@@ -428,13 +430,19 @@ class TestSigmaDominance:
 
 class TestProgramOverlapStack:
     def test_stack_matches_single(self):
+        # and the trace form (1/4) Tr[sigma^T S^dag S] it replaces
         rng = np.random.default_rng(19)
-        u, v = haar_unitary(2, rng), haar_unitary(4, rng)
-        sigmas = np.array([random_density(rng) for _ in range(20)])
-        values = program_overlap(u, v, sigmas)
-        assert values.shape == (20,)
-        single = [program_overlap(u, v, sigma) for sigma in sigmas]
-        np.testing.assert_allclose(values, single, rtol=0, atol=1e-15)
+        for _ in range(10):
+            u, v = haar_unitary(2, rng), haar_unitary(4, rng)
+            sigmas = np.concatenate([random_programs(rng, 199), [np.eye(2) / 2]])
+            values = program_overlap(u, v, sigmas)
+            assert values.shape == (200,)
+            single = [program_overlap(u, v, sigma) for sigma in sigmas]
+            np.testing.assert_allclose(values, single, rtol=0, atol=1e-15)
+            s = s_operator(u, v)
+            product = np.swapaxes(sigmas, -1, -2) @ s.conj().T @ s
+            traced = np.trace(product, axis1=-2, axis2=-1).real / 4.0
+            np.testing.assert_allclose(values, traced, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize(
         "bad",
