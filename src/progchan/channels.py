@@ -34,7 +34,7 @@ class KrausChannel:
             raise ContractError("Kraus family must be non-empty")
         object.__setattr__(self, "ops", ops)
         defect = self.completeness_defect()
-        if defect > COMPLETENESS_TOL:
+        if not defect <= COMPLETENESS_TOL:  # "not <=" so that a NaN fails
             raise ContractError(f"Kraus family not complete: defect {defect:.3e}")
 
     def completeness_defect(self) -> float:

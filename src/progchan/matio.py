@@ -27,22 +27,16 @@ def obj_to_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "rows" not in obj:
         raise MatrixFormatError("matrix object must have 'dim' and 'rows' keys")
     dim = obj["dim"]
-    if dim not in SUPPORTED_DIMS:
+    if type(dim) is not int or dim not in SUPPORTED_DIMS:
         raise MatrixFormatError(f"matrix dim must be 2 or 4, got {dim!r}")
-    rows = obj["rows"]
-    if len(rows) != dim:
-        raise MatrixFormatError(f"expected {dim} rows, got {len(rows)}")
-    out = np.zeros((dim, dim), dtype=complex)
-    for i, row in enumerate(rows):
-        if len(row) != dim:
-            raise MatrixFormatError(f"row {i} has {len(row)} entries, expected {dim}")
-        for j, entry in enumerate(row):
-            try:
-                re, im = entry
-                out[i, j] = complex(float(re), float(im))
-            except (TypeError, ValueError) as exc:
-                raise MatrixFormatError(f"entry ({i},{j}) is not an [re, im] pair") from exc
-    return out
+    shape = (dim, dim, 2)  # dim rows of dim [re, im] pairs
+    try:
+        pairs = np.array(obj["rows"], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MatrixFormatError(f"matrix rows must be numbers of shape {shape}: {exc}") from exc
+    if pairs.shape != shape:
+        raise MatrixFormatError(f"matrix rows must have shape {shape}, got {pairs.shape}")
+    return pairs.view(complex)[..., 0]
 
 
 def load_matrix(path) -> np.ndarray:

@@ -65,19 +65,24 @@ def _min_eigenvalue_2x2(ms) -> np.ndarray:
     return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(b))
 
 
-def density_mask(ms, tol: float = DECOMP_TOL) -> np.ndarray:
-    """Per-state test over an (n, 2, 2) stack: Hermitian, unit trace and
-    positive semidefinite (to -tol).
+def density_mask(ms) -> np.ndarray:
+    """Per-state test over an (n, 2, 2) stack: finite, Hermitian, unit trace
+    and positive semidefinite (to -DECOMP_TOL).
 
-    The smallest eigenvalue is computed, in closed form, only for the states
-    that pass the cheap tests, so a non-finite entry never reaches it.
+    Only finite states reach the arithmetic, and only those that pass the
+    cheap tests reach the closed-form smallest eigenvalue.  For [[a, b],
+    [c, d]], m - m^dag holds 2i Im a, 2i Im d, b - c^* and -(b - c^*)^*.
     """
     ms = np.asarray(ms, dtype=complex)
-    adjoint = ms.conj().swapaxes(-1, -2)
-    trace = np.trace(ms, axis1=-2, axis2=-1)
-    ok = (np.abs(ms - adjoint) <= tol).all(axis=(-2, -1))
-    ok &= (np.abs(trace.real - 1.0) <= tol) & (np.abs(trace.imag) <= tol)
-    ok[ok] = _min_eigenvalue_2x2(ms[ok]) >= -tol
+    ok = np.isfinite(ms).all(axis=(-2, -1))
+    finite = ms[ok]
+    a, b, c, d = finite[:, 0, 0], finite[:, 0, 1], finite[:, 1, 0], finite[:, 1, 1]
+    trace = a + d
+    tol = DECOMP_TOL
+    good = (np.abs(a.imag) <= tol / 2) & (np.abs(d.imag) <= tol / 2) & (np.abs(b - c.conj()) <= tol)
+    good &= (np.abs(trace.real - 1.0) <= tol) & (np.abs(trace.imag) <= tol)
+    good[good] = _min_eigenvalue_2x2(finite[good]) >= -tol
+    ok[ok] = good
     return ok
 
 

@@ -100,7 +100,7 @@ def random_density(rng) -> np.ndarray:
 
 
 def _sequence_points(offset: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Sequence points at the 1-based indices k, coordinate-major, shape (4, len(k)).
+    """Sequence points at the indices k, coordinate-major, shape (4, len(k)).
 
     The additive recurrence u_k = frac(offset + alpha k) fills the unit
     cube, and the standard area-preserving map carries it onto S^3.  Each
@@ -110,7 +110,7 @@ def _sequence_points(offset: np.ndarray, k: np.ndarray) -> np.ndarray:
     u = _ALPHAS[:, None] * k
     u += offset[:, None]
     coords = np.empty((4, len(k)))
-    u -= np.floor(u, out=coords[:3])  # frac(), exact for these non-negative arguments
+    u -= np.floor(u, out=coords[:3])  # frac(), exact for the non-negative arguments of k >= 1
     angles = u[1:]
     angles *= 2 * np.pi  # azimuth, polar
     radii = np.empty((2, len(k)))  # low, high
@@ -124,22 +124,17 @@ def _sequence_points(offset: np.ndarray, k: np.ndarray) -> np.ndarray:
     return coords
 
 
-def _sample_block(offset: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows start:stop of ``sample_su2``'s output, built without the other rows."""
-    n_axis = len(AXIS_POINTS)
-    seq = _sequence_points(offset, np.arange(max(start, n_axis), stop) - (n_axis - 1)).T
-    if start >= n_axis:
-        return seq
-    return np.concatenate([AXIS_POINTS[start:stop], seq])
-
-
 def _sample_rows(offset: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The rows of ``sample_su2``'s output at the given indices, built without the others."""
+    """The rows of ``sample_su2``'s output at the given indices, built without the others.
+
+    Row i >= 8 is sequence point i - 7; rows 0-7 are the axis points, written
+    over the sequence values computed there.  Returns a C-contiguous array.
+    """
     rows = np.asarray(rows)
-    out = np.empty((len(rows), 4))
-    axis = rows < len(AXIS_POINTS)
+    n_axis = len(AXIS_POINTS)
+    out = np.ascontiguousarray(_sequence_points(offset, rows - (n_axis - 1)).T)
+    axis = np.flatnonzero(rows < n_axis)
     out[axis] = AXIS_POINTS[rows[axis]]
-    out[~axis] = _sequence_points(offset, rows[~axis] - (len(AXIS_POINTS) - 1)).T
     return out
 
 
@@ -156,7 +151,7 @@ def sample_su2(config: ScanConfig) -> np.ndarray:
     appends points.  ``minimax_scan`` never builds this array unless asked
     for a trace; it streams the same rows block by block.
     """
-    return _sample_block(_offset(config), 0, config.resolution)
+    return _sample_rows(_offset(config), np.arange(config.resolution))
 
 
 def _sweep(parts, offset: np.ndarray, n: int) -> np.ndarray:
@@ -167,7 +162,8 @@ def _sweep(parts, offset: np.ndarray, n: int) -> np.ndarray:
     """
     values = np.empty(n)
     for start, stop in _scan_py.block_bounds(n):
-        values[start:stop] = fidelity_from_bloch_batch(parts, _sample_block(offset, start, stop))
+        rows = _sample_rows(offset, np.arange(start, stop))
+        values[start:stop] = fidelity_from_bloch_batch(parts, rows)
     return values
 
 
@@ -308,11 +304,10 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
             for i, (p, f) in enumerate(zip(sample_su2(config), values)):
                 writer.writerow([i, *(repr(float(x)) for x in (*p, f))])
 
-    best = int(np.argmin(values))
-    f_min = float(values[best])
-    # only the rows the scan reads are rebuilt: the minimum and the polish seeds
-    seeds = _lowest(values, 16) if config.refine_steps > 0 else []
-    worst, *seed_points = _sample_rows(offset, [best, *seeds])
+    # only the rows the scan reads are rebuilt: the polish seeds, the minimum first
+    seeds = _lowest(values, 16 if config.refine_steps > 0 else 1)
+    f_min = float(values[seeds[0]])
+    worst, *seed_points = _sample_rows(offset, seeds)
 
     if config.refine_steps > 0:
         scale = max((2 * np.pi**2 / config.resolution) ** (1.0 / 3.0), 1e-3)

@@ -162,6 +162,12 @@ class TestChannelFidelity:
     def test_incomplete_family_rejected(self):
         with pytest.raises(ContractError):
             KrausChannel((pauli(1) / 2,))
+        # a NaN defect fails too
+        half = [np.eye(2, dtype=complex) / np.sqrt(2), pauli(3) / np.sqrt(2)]
+        half[1][1, 1] = complex(0.0, np.nan)
+        for ops in ((np.full((2, 2), np.nan),), tuple(half)):
+            with pytest.raises(ContractError, match="defect nan"):
+                KrausChannel(ops)
 
 
 class TestScalarMaps:

@@ -307,6 +307,12 @@ class TestErrors:
         write_matrix(np.ones((4, 4)), bad)
         code, _, err = run(capsys, "worst-case", "--v", bad)
         assert code == 2
+        # a null entry reads as NaN, which is not unitary either
+        rows = [[[1, 0], [0, 0]], [[0, 0], [None, 0]]]
+        bad.write_text(json.dumps({"dim": 2, "rows": rows}))
+        code, _, err = run(capsys, "fidelity", "--u", bad, "--v", files["v_id"])
+        assert code == 2
+        assert err == "error: target unitary is not unitary at tolerance 1e-10\n"
 
     def test_non_square_json(self, files, capsys):
         bad = files["tmp"] / "badshape.json"
@@ -335,6 +341,43 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert named in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dim": 4, "rows": null}',
+            '{"dim": 4.0, "rows": []}',
+            '{"dim": 4, "rows": [[[1, 0], [0, 0], [0, 0], [0, 0]], 5, [], []]}',
+            '{"dim": 4, "rows": [[[1, 0, 0]]]}',
+            '{"dim": 4, "rows": [[[1' + "0" * 400 + ', 0]]]}',
+        ],
+        ids=["null-rows", "float-dim", "number-row", "three-numbers", "400-digit-entry"],
+    )
+    def test_malformed_matrix_file(self, files, capsys, text):
+        bad = files["tmp"] / "malformed.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "worst-case", "--v", bad)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert ("(4, 4, 2)" in err) or ("dim must be 2 or 4" in err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("program", "--v", "I4"), ("fidelity", "--u", "I2", "--v", "I4")],
+        ids=["program", "fidelity"],
+    )
+    def test_infinite_state_entry(self, files, capsys, argv):
+        # inf - inf in a Hermitian test would warn before the error
+        sigma = files["tmp"] / "sigma_inf.json"
+        sigma.write_text('{"dim": 2, "rows": [[[Infinity, 0], [0, 0]], [[0, 0], [0.5, 0]]]}')
+        paths = {"I2": files["u_id"], "I4": files["v_id"]}
+        code, out, err = run(capsys, *(paths.get(a, a) for a in argv), "--sigma", sigma)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: program state is not a valid density matrix")
 
     def test_unknown_flag(self, files, capsys):
         code, _, _ = run(capsys, "worst-case", "--v", files["v_id"], "--bogus")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,21 +27,58 @@ def test_missing_keys():
         obj_to_matrix({"rows": [[1, 2]]})
 
 
+I2_ROWS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
 def test_bad_dim():
     with pytest.raises(MatrixFormatError):
         obj_to_matrix({"dim": 3, "rows": [[[0, 0]] * 3] * 3})
+    for dim in (2.0, 4.0, True, "2", None, [2]):
+        with pytest.raises(MatrixFormatError, match="dim must be 2 or 4"):
+            obj_to_matrix({"dim": dim, "rows": I2_ROWS})
 
 
 def test_mismatched_rows():
-    with pytest.raises(MatrixFormatError):
-        obj_to_matrix({"dim": 2, "rows": [[[1, 0], [0, 0]]]})
-    with pytest.raises(MatrixFormatError):
-        obj_to_matrix({"dim": 2, "rows": [[[1, 0]], [[0, 0]]]})
+    cases = [
+        ([[[1, 0], [0, 0]]], "(1, 2, 2)"),
+        ([[[1, 0]], [[0, 0]]], "(2, 1, 2)"),
+        (None, "()"),
+        (7, "()"),
+        ([], "(0,)"),
+        ([[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]], "(2, 2, 3)"),
+        ([[1, 0], [0, 1]], "(2, 2)"),
+        ([*I2_ROWS, [[0, 0], [0, 0]]], "(3, 2, 2)"),
+    ]
+    for rows, got in cases:
+        with pytest.raises(MatrixFormatError, match=re.escape(f"shape (2, 2, 2), got {got}")):
+            obj_to_matrix({"dim": 2, "rows": rows})
 
 
 def test_bad_entry():
-    with pytest.raises(MatrixFormatError):
-        obj_to_matrix({"dim": 2, "rows": [[[1, 0], "x"], [[0, 0], [1, 0]]]})
+    cases = [
+        [[[1, 0], "x"], [[0, 0], [1, 0]]],
+        [[[1, 0], [0, 0]], "ab"],  # a row that is not a list
+        [[[1, 0], [0, 0]], 5],
+        [[[1, 0], [0, 0]], {"re": 0}],
+        [[[1, 0], [0, 0, 0]], [[0, 0], [1, 0]]],  # one three-number pair
+        [[[1, 0], [0, [0]]], [[0, 0], [1, 0]]],
+        [[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]],  # no float holds a 400-digit integer
+        [[[1, 0], [0, 0]], [[0, 0], [1, -(10**400)]]],
+        "rows",
+    ]
+    for rows in cases:
+        with pytest.raises(MatrixFormatError, match=re.escape("shape (2, 2, 2)")):
+            obj_to_matrix({"dim": 2, "rows": rows})
+
+
+def test_special_values_read_bit_for_bit():
+    text = '{"dim": 2, "rows": [[[-0.0, 0.0], [Infinity, -Infinity]], [[NaN, 1e-320], [1, -0.0]]]}'
+    m = obj_to_matrix(json.loads(text))
+    assert m.shape == (2, 2) and m.dtype == complex and m.flags.c_contiguous
+    pairs = [[(-0.0, 0.0), (np.inf, -np.inf)], [(np.nan, 1e-320), (1.0, -0.0)]]
+    expected = np.array(pairs).view(complex)[..., 0]
+    assert m.tobytes() == expected.tobytes()
+    assert np.signbit(m[0, 0].real) and not np.signbit(m[0, 0].imag) and np.signbit(m[1, 1].imag)
 
 
 def test_unreadable_file(tmp_path):

@@ -211,6 +211,24 @@ class TestDensityMask:
         np.testing.assert_array_equal(expected, lows > -DECOMP_TOL)
         np.testing.assert_array_equal(density_mask(ms), expected)
 
+    def test_matches_full_matrix_tests(self):
+        """The per-entry Hermitian and trace tests decide as the whole-matrix ones do."""
+        rng = np.random.default_rng(23)
+        ms = np.array([random_density(rng) for _ in range(2000)])
+        # shift single entries to just inside, at and just past each tolerance
+        steps = DECOMP_TOL * np.array([0.5 - 1e-6, 0.5, 0.5 + 1e-6, 1 - 1e-6, 1.0, 1 + 1e-6])
+        for k, m in enumerate(ms):
+            i, j = divmod(k % 4, 2)
+            step = steps[k % len(steps)] * (1 if k % 3 else -1)
+            m[i, j] += step * (1j if k % 5 < 3 else 1.0)
+        tol = DECOMP_TOL
+        full = (np.abs(ms - ms.conj().swapaxes(-1, -2)) <= tol).all(axis=(-2, -1))
+        trace = np.trace(ms, axis1=-2, axis2=-1)
+        full &= (np.abs(trace.real - 1.0) <= tol) & (np.abs(trace.imag) <= tol)
+        full &= _min_eigenvalue_2x2(ms) >= -tol
+        assert 0 < full.sum() < len(ms)
+        np.testing.assert_array_equal(density_mask(ms), full)
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -218,8 +236,19 @@ class TestDensityMask:
             {2: np.diag([0.6, 0.6]), 6: np.diag([1.2, -0.2])},
             {1: np.diag([1.2, -0.2]), 4: np.array([[0.5, 0.3], [0.1, 0.5]])},
             {5: np.full((2, 2), np.nan)},
+            {4: np.diag([np.inf, 0.5])},
+            {2: np.array([[0.5, np.inf], [np.inf, 0.5]]), 6: np.full((2, 2), np.nan)},
+            {3: np.array([[0.5, 0.0], [-np.inf, 0.5]]), 8: np.diag([1.2, -0.2])},
         ],
-        ids=["two-negative", "trace-then-negative", "negative-then-hermitian", "nan"],
+        ids=[
+            "two-negative",
+            "trace-then-negative",
+            "negative-then-hermitian",
+            "nan",
+            "inf",
+            "inf-pair-then-nan",
+            "inf-then-negative",
+        ],
     )
     def test_stack_names_first_bad_state(self, bad):
         rng = np.random.default_rng(22)

@@ -193,10 +193,21 @@ class TestStreamedSweep:
         offset = oracle._offset(config)
         n_axis = len(AXIS_POINTS)
         random = np.random.default_rng(seed).integers(0, len(full), 50)
-        rows = np.concatenate([np.arange(n_axis), [n_axis, len(full) - 1], random])
-        np.testing.assert_array_equal(oracle._sample_rows(offset, rows), full[rows])
+        index_sets = [
+            np.concatenate([np.arange(n_axis), [n_axis, len(full) - 1], random]),
+            # unsorted, repeated and straddling the last axis row
+            [9, 3, 3, 99_999, 0, 8, 7],
+            [n_axis - 1, n_axis, n_axis - 1, 0],
+            [42],
+            [5],
+        ]
+        # blocks as the sweep asks for them, and ones across the axis rows
         for start, stop in ((0, 3), (2, 8), (5, 4101), (8, 9), (4096, 8192), (99_999, 100_000)):
-            np.testing.assert_array_equal(oracle._sample_block(offset, start, stop), full[start:stop])
+            index_sets.append(np.arange(start, stop))
+        for rows in index_sets:
+            got = oracle._sample_rows(offset, rows)
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, full[rows])
 
     def test_peak_memory_independent_of_sample(self):
         v = canonical_gate([0.3, 0.2, 0.1])
