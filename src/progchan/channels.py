@@ -32,6 +32,11 @@ class KrausChannel:
         ops = tuple(as_matrix(k, "Kraus operator", (2,)) for k in self.ops)
         if not ops:
             raise ContractError("Kraus family must be non-empty")
+        # a complete family's entries are within 1 in modulus, so a real or
+        # imaginary part beyond 2 fails before the product below can meet an
+        # infinity, NaN or overflow; "not <=" fails the NaN maximum too
+        if not np.max(np.abs(np.array(ops).view(float))) <= 2.0:
+            raise ContractError("Kraus family not complete: an entry is not finite or beyond 2")
         object.__setattr__(self, "ops", ops)
         defect = self.completeness_defect()
         if not defect <= COMPLETENESS_TOL:  # "not <=" so that a NaN fails

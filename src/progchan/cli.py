@@ -234,6 +234,7 @@ def _cmd_oracle(args) -> int:
         "f_min": result.f_min,
         "worst_bloch": [float(x) for x in result.worst_bloch],
         "gap_to_closed_form": result.gap_to_closed_form,
+        "lower_bound": result.lower_bound,
         "evaluations": result.evaluations,
         "resolution": config.resolution,
         "refine_steps": config.refine_steps,
@@ -324,7 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force minimax scan of a device")
     p.add_argument("--v", required=True)
     p.add_argument("--resolution", type=int, default=10_000)
-    p.add_argument("--refine", type=int, default=50)
+    p.add_argument(
+        "--refine",
+        type=int,
+        default=50,
+        help="polish steps per start, at most; a sweep that meets the lower bound skips the polish",
+    )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sigma-samples", type=int, default=1000)
     p.add_argument("--csv", help="write a per-sample trace CSV")

@@ -18,6 +18,8 @@ SUPPORTED_DIMS = (2, 4)
 ALGEBRA_TOL = 1e-12
 #: tolerance for decomposition residuals
 DECOMP_TOL = 1e-10
+# no entry of a density matrix has a real or imaginary part this large
+_ENTRY_BOUND = 2.0
 
 
 def as_matrix(m, name: str = "matrix", dims: tuple = SUPPORTED_DIMS) -> np.ndarray:
@@ -69,12 +71,19 @@ def density_mask(ms) -> np.ndarray:
     """Per-state test over an (n, 2, 2) stack: finite, Hermitian, unit trace
     and positive semidefinite (to -DECOMP_TOL).
 
-    Only finite states reach the arithmetic, and only those that pass the
-    cheap tests reach the closed-form smallest eigenvalue.  For [[a, b],
-    [c, d]], m - m^dag holds 2i Im a, 2i Im d, b - c^* and -(b - c^*)^*.
+    A state that passes has Re a, Re d in [-tol, 1 + 2 tol], |Im a|, |Im d|
+    <= tol/2 and |b|, |c| below 1/2 + 2 tol, so a real or imaginary part
+    beyond ``_ENTRY_BOUND`` fails it before any arithmetic: no NaN, infinity
+    or overflow reaches the tests.
+    Only states that pass the cheap tests reach the closed-form smallest
+    eigenvalue.  For [[a, b], [c, d]], m - m^dag holds 2i Im a, 2i Im d,
+    b - c^* and -(b - c^*)^*.
     """
     ms = np.asarray(ms, dtype=complex)
-    ok = np.isfinite(ms).all(axis=(-2, -1))
+    # the real and imaginary parts; "<=" is False for NaN, so every
+    # non-finite state fails here too
+    parts = np.abs(np.ascontiguousarray(ms).view(float))
+    ok = (parts <= _ENTRY_BOUND).all(axis=(-2, -1))
     finite = ms[ok]
     a, b, c, d = finite[:, 0, 0], finite[:, 0, 1], finite[:, 1, 0], finite[:, 1, 1]
     trace = a + d

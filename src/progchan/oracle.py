@@ -31,6 +31,12 @@ AXIS_POINTS.setflags(write=False)
 _PHI3 = 1.2207440846057596
 _ALPHAS = np.array([1.0 / _PHI3, 1.0 / _PHI3**2, 1.0 / _PHI3**3])
 
+# A sweep minimum within this of the proven lower bound is the minimum up to
+# rounding, so the polish is skipped.  On a canonical device an axis point
+# meets the bound to within ~1e-16; elsewhere the sweep misses the
+# minimizer, by ~1e-10 or more on the devices tested.
+CERTIFY_TOL = 1e-15
+
 
 def _check_count(name: str, value, lowest: int = 0) -> None:
     """ContractError unless value is an integer count of at least ``lowest``."""
@@ -57,16 +63,20 @@ class ScanConfig:
 class ScanResult:
     """Outcome of ``minimax_scan``.
 
-    ``evaluations`` is the number of objective values the scan uses: every
-    sweep point plus, for each polish start, the values a one-point-at-a-time
-    Nelder-Mead computes.  The polish also evaluates speculative points that
-    a step then discards; those are not counted.
+    ``lower_bound`` is lambda_min(Q)/8, below which no kernel value can lie
+    (``_lower_bound``).  ``evaluations`` is the number of objective values
+    the scan uses: every sweep point plus, when the polish runs, the values
+    a one-point-at-a-time Nelder-Mead computes for each start.  The polish
+    also evaluates speculative points that a step then discards; those are
+    not counted.  A sweep minimum within ``CERTIFY_TOL`` of the bound skips
+    the polish, so ``evaluations`` is then the resolution.
     """
 
     f_min: float
     worst_bloch: np.ndarray
     gap_to_closed_form: float
     evaluations: int
+    lower_bound: float
 
 
 def haar_unitary(dim: int, rng) -> np.ndarray:
@@ -283,16 +293,31 @@ def _polish(
     return np.array(best_f), point(np.arange(len(runs)), np.array(best_x)), sum(evaluations)
 
 
+def _lower_bound(parts) -> float:
+    """lambda_min(Q)/8 with Q_mu,nu = Re Tr(K_mu^dag K_nu); parts from device_parts().
+
+    ||S(n)||_F^2 = n^T Q n, and f(n) = lambda_max(S^dag S)/4 >= ||S||_F^2/8,
+    so every kernel value is at least this bound.  It is tight: spec(Q)/8
+    is {|t_j|^2/4}, so the bound is the closed form's F(V), reached here
+    without the decomposition or the t-vector.
+    """
+    k = parts.reshape(4, 4)
+    return float(np.linalg.eigvalsh((k.conj() @ k.T).real)[0]) / 8
+
+
 def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
     """Scan the target group for the worst fidelity and polish the incumbents.
 
     The sweep evaluates every row of ``sample_su2(config)`` but generates
     them one kernel block at a time and keeps only the values; the minimum
-    and the polish seeds are rebuilt from their row indices.  ``trace_path``
-    optionally writes a CSV of (index, n0..n3, fidelity) for the sweep
-    phase, the one case that builds the whole sample.
+    and the polish seeds are rebuilt from their row indices.  A sweep
+    minimum within ``CERTIFY_TOL`` of the proven lower bound is returned
+    as it is, without the polish.  ``trace_path`` optionally writes a CSV
+    of (index, n0..n3, fidelity) for the sweep phase, the one case that
+    builds the whole sample.
     """
     parts = device_parts(v)
+    lower_bound = _lower_bound(parts)
     offset = _offset(config)
     values = _sweep(parts, offset, config.resolution)
     evaluations = len(values)
@@ -309,7 +334,7 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
     f_min = float(values[seeds[0]])
     worst, *seed_points = _sample_rows(offset, seeds)
 
-    if config.refine_steps > 0:
+    if config.refine_steps > 0 and f_min > lower_bound + CERTIFY_TOL:
         scale = max((2 * np.pi**2 / config.resolution) ** (1.0 / 3.0), 1e-3)
         candidates = [worst]
         for p in seed_points:
@@ -329,6 +354,7 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
         worst_bloch=worst,
         gap_to_closed_form=f_min - reference,
         evaluations=evaluations,
+        lower_bound=lower_bound,
     )
 
 

@@ -36,6 +36,8 @@ ADVERSARIAL_ALPHAS = {
     "a3-zero": (0.5, 0.3, 0.0),
     "a1-quarter": (Q, 0.3, 0.2),
 }
+#: sizes of the uniform perturbations applied to ADVERSARIAL_ALPHAS
+ADVERSARIAL_SCALES = (0.0, 1e-14, 1e-10, 1e-7, 1e-5)
 
 
 def write_matrix(m, path):
@@ -68,6 +70,16 @@ def dressed(alpha, rng):
     before = kron(haar_unitary(2, rng), haar_unitary(2, rng))
     after = kron(haar_unitary(2, rng), haar_unitary(2, rng))
     return np.exp(2j * np.pi * rng.random()) * after @ canonical_gate(alpha) @ before
+
+
+def adversarial_devices(rng, draws):
+    """Dressed ADVERSARIAL_ALPHAS devices, ``draws`` per alpha and perturbation scale."""
+    return [
+        dressed(np.array(alpha) + scale * rng.uniform(-1, 1, 3), rng)
+        for alpha in ADVERSARIAL_ALPHAS.values()
+        for scale in ADVERSARIAL_SCALES
+        for _ in range(draws)
+    ]
 
 
 def random_pure_density(rng):
@@ -238,12 +250,22 @@ def serial_polish(objective, n0, steps, scale):
     return float(values[best]), point(simplex[best]), evaluations
 
 
+def gram_lower_bound(parts):
+    """lambda_min(Q)/8 with Q_mu,nu = Re Tr(K_mu^dag K_nu), Q by einsum.
+
+    The reference for ``oracle._lower_bound``, which builds Q as one matmul.
+    """
+    q = np.einsum("mab,nab->mn", np.conj(parts), parts).real
+    return float(np.linalg.eigvalsh(q)[0]) / 8
+
+
 def materialized_scan(v, config):
     """minimax_scan on the whole sample at once, the streamed scan's reference.
 
     Builds every point with ``sample_su2``, sweeps them in one kernel call,
-    then polishes from the lowest rows of that array.  Returns (f_min,
-    worst Bloch point, evaluations).
+    then polishes from the lowest rows of that array, unless the sweep
+    minimum is within ``oracle.CERTIFY_TOL`` of the Gram lower bound.
+    Returns (f_min, worst Bloch point, evaluations).
     """
     parts = device_parts(v)
     points = sample_su2(config)
@@ -252,7 +274,8 @@ def materialized_scan(v, config):
     best = int(np.argmin(values))
     f_min = float(values[best])
     worst = points[best].copy()
-    if config.refine_steps > 0:
+    certified = f_min <= gram_lower_bound(parts) + oracle.CERTIFY_TOL
+    if config.refine_steps > 0 and not certified:
         scale = max((2 * np.pi**2 / config.resolution) ** (1.0 / 3.0), 1e-3)
         candidates = [worst]
         for i in oracle._lowest(values, 16):

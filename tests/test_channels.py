@@ -162,11 +162,14 @@ class TestChannelFidelity:
     def test_incomplete_family_rejected(self):
         with pytest.raises(ContractError):
             KrausChannel((pauli(1) / 2,))
-        # a NaN defect fails too
+        # NaN, infinite and huge entries fail before the completeness product,
+        # which would otherwise warn (inf * 0, overflow)
         half = [np.eye(2, dtype=complex) / np.sqrt(2), pauli(3) / np.sqrt(2)]
         half[1][1, 1] = complex(0.0, np.nan)
-        for ops in ((np.full((2, 2), np.nan),), tuple(half)):
-            with pytest.raises(ContractError, match="defect nan"):
+        cases = [(np.full((2, 2), x),) for x in (np.nan, np.inf, -np.inf, 1e200)]
+        cases += [tuple(half), (np.eye(2), np.full((2, 2), complex(0.0, np.inf)))]
+        for ops in cases:
+            with pytest.raises(ContractError, match="an entry is not finite or beyond 2"):
                 KrausChannel(ops)
 
 

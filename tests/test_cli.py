@@ -379,6 +379,22 @@ class TestErrors:
         assert err.count("\n") == 1
         assert err.startswith("error: program state is not a valid density matrix")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("program", "--v", "I4"), ("fidelity", "--u", "I2", "--v", "I4")],
+        ids=["program", "fidelity"],
+    )
+    def test_state_entry_near_float_limit(self, files, capsys, argv):
+        # b - c^* and a + d would overflow before the error
+        sigma = files["tmp"] / "sigma_big.json"
+        write_matrix(np.array([[1e308, -1e308], [1e308, 0.5]]), sigma)
+        paths = {"I2": files["u_id"], "I4": files["v_id"]}
+        code, out, err = run(capsys, *(paths.get(a, a) for a in argv), "--sigma", sigma)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: program state is not a valid density matrix")
+
     def test_unknown_flag(self, files, capsys):
         code, _, _ = run(capsys, "worst-case", "--v", files["v_id"], "--bogus")
         assert code == 2

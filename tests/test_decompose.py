@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import ADVERSARIAL_ALPHAS, dressed, is_unitary, random_chamber_alpha
+from helpers import ADVERSARIAL_ALPHAS, ADVERSARIAL_SCALES, dressed, is_unitary, random_chamber_alpha
 
 from progchan import (
     CanonicalForm,
@@ -116,7 +116,7 @@ class TestAdversarialSet:
 
     Q = np.pi / 4
     ALPHAS = ADVERSARIAL_ALPHAS
-    SCALES = (0.0, 1e-14, 1e-10, 1e-7, 1e-5)
+    SCALES = ADVERSARIAL_SCALES
 
     @pytest.mark.parametrize("name", ALPHAS)
     def test_fidelity_and_witness(self, name):

@@ -1,10 +1,14 @@
 import functools
+import itertools
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import (
+    ADVERSARIAL_ALPHAS,
+    adversarial_devices,
+    dressed,
     materialized_scan,
     random_bloch,
     random_chamber_alpha,
@@ -28,10 +32,11 @@ from progchan import (
     s_operator,
     sample_su2,
     sigma_dominance_check,
+    worst_case_fidelity,
 )
 from progchan import oracle
 from progchan.kernels import device_parts, fidelity_from_bloch, fidelity_from_bloch_batch
-from progchan.oracle import _ALPHAS, AXIS_POINTS, _lowest, _polish, _random_densities
+from progchan.oracle import _ALPHAS, AXIS_POINTS, CERTIFY_TOL, _lowest, _polish, _random_densities
 
 
 class TestSampleSU2:
@@ -143,6 +148,13 @@ class TestMinimaxScan:
         plain = minimax_scan(v, ScanConfig(resolution=1000, refine_steps=0, seed=6))
         polished = minimax_scan(v, ScanConfig(resolution=1000, refine_steps=40, seed=6))
         assert polished.f_min <= plain.f_min + 1e-15
+        # the sweep meets the lower bound on a canonical device: no polish
+        assert polished.evaluations == plain.evaluations == 1000
+        # a dressed device is not certified, and there the polish runs
+        v = dressed([0.3, 0.25, 0.2], np.random.default_rng(6))
+        plain = minimax_scan(v, ScanConfig(resolution=1000, refine_steps=0, seed=6))
+        polished = minimax_scan(v, ScanConfig(resolution=1000, refine_steps=40, seed=6))
+        assert polished.f_min <= plain.f_min
         assert polished.evaluations > plain.evaluations
 
     def test_repeated_haar_scans_identical(self):
@@ -236,6 +248,64 @@ class TestStreamedSweep:
                 assert result.f_min == f_min
                 np.testing.assert_array_equal(result.worst_bloch, worst)
                 assert result.evaluations == evaluations
+
+
+class TestLowerBound:
+    """The proven bound lambda_min(Q)/8 and the polish it makes unnecessary."""
+
+    @staticmethod
+    def canonical_devices(rng):
+        devices = [canonical_gate(random_chamber_alpha(rng)) for _ in range(6)]
+        devices += [canonical_gate(alpha) for alpha in ADVERSARIAL_ALPHAS.values()]
+        return devices + [optimal_interaction(1, -1)]
+
+    def test_no_sweep_point_below_bound(self):
+        rng = np.random.default_rng(50)
+        devices = [haar_unitary(4, rng) for _ in range(10)]
+        devices += adversarial_devices(rng, 1) + self.canonical_devices(rng)
+        for k, v in enumerate(devices):
+            parts = device_parts(v)
+            values = oracle._sweep(parts, oracle._offset(ScanConfig(seed=k)), 4105)
+            assert values.min() >= oracle._lower_bound(parts) - CERTIFY_TOL
+
+    def test_matches_closed_form(self):
+        rng = np.random.default_rng(51)
+        grid = np.linspace(-np.pi / 4, np.pi / 4, 13)
+        devices = [haar_unitary(4, rng) for _ in range(300)]
+        devices += adversarial_devices(rng, 3)
+        devices += [dressed(alpha, rng) for alpha in itertools.product(grid, repeat=3)]
+        for v in devices:
+            bound = oracle._lower_bound(device_parts(v))
+            assert abs(bound - worst_case_fidelity(v).fidelity) <= 1e-14
+
+    def test_polish_skipped_on_canonical_devices(self):
+        rng = np.random.default_rng(53)
+        for k, v in enumerate(self.canonical_devices(rng)):
+            config = ScanConfig(resolution=4105, refine_steps=30, seed=k)
+            result = minimax_scan(v, config)
+            assert result.evaluations == config.resolution
+            assert abs(result.f_min - result.lower_bound) <= CERTIFY_TOL
+            f_min, worst, evaluations = materialized_scan(v, config)
+            assert result.f_min == f_min
+            np.testing.assert_array_equal(result.worst_bloch, worst)
+            assert evaluations == config.resolution
+
+    def test_dressed_devices_match_reference(self):
+        rng = np.random.default_rng(54)
+        interior = [dressed(random_chamber_alpha(rng, interior=True), rng) for _ in range(6)]
+        devices = interior + [dressed(alpha, rng) for alpha in ADVERSARIAL_ALPHAS.values()]
+        for k, v in enumerate(devices):
+            config = ScanConfig(resolution=4105, refine_steps=30, seed=k)
+            result = minimax_scan(v, config)
+            f_min, worst, evaluations = materialized_scan(v, config)
+            assert result.f_min == f_min
+            np.testing.assert_array_equal(result.worst_bloch, worst)
+            assert result.evaluations == evaluations
+            certified = result.f_min <= result.lower_bound + CERTIFY_TOL
+            assert (result.evaluations == config.resolution) == certified
+            # an interior dressed core's minimizer is no sample row, so the polish runs
+            if k < len(interior):
+                assert not certified
 
 
 class TestLowest:
