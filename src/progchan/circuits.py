@@ -8,7 +8,9 @@ first, so the circuit matrix is the right-to-left product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -38,16 +40,21 @@ class Gate:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
         for w in self.wires:
-            if w not in (0, 1):
-                raise DimensionError(f"wire index must be 0 or 1, got {w}")
+            # numpy integers are Integral; bool is too, but is no wire
+            if not isinstance(w, Integral) or isinstance(w, bool) or w not in (0, 1):
+                raise DimensionError(f"wire index must be 0 or 1, got {w!r}")
+        object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
         if self.kind == "cnot":
             if len(self.wires) != 2 or self.wires[0] == self.wires[1]:
                 raise ContractError("cnot needs distinct control and target wires")
         elif self.kind in ROTATION_KINDS:
             if len(self.wires) != 1 or self.angle is None:
                 raise ContractError(f"{self.kind} needs one wire and an angle")
+            angle = self.angle
+            if not isinstance(angle, Real) or isinstance(angle, bool) or not math.isfinite(angle):
+                raise ContractError(f"{self.kind} angle must be a finite real, got {angle!r}")
+            object.__setattr__(self, "angle", float(angle))
         elif self.kind == "local":
             if len(self.wires) != 1 or self.matrix is None:
                 raise ContractError("local needs one wire and a matrix")
@@ -57,7 +64,7 @@ class Gate:
 
 
 def rotation(kind: str, wire: int, angle: float) -> Gate:
-    return Gate(kind=kind, wires=(wire,), angle=float(angle))
+    return Gate(kind=kind, wires=(wire,), angle=angle)
 
 
 def cnot(control: int = 0, target: int = 1) -> Gate:

@@ -224,7 +224,6 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     config = oracle.ScanConfig(
         resolution=args.resolution,
-        refine_steps=args.refine,
         seed=args.seed,
         sigma_samples=args.sigma_samples,
     )
@@ -325,12 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force minimax scan of a device")
     p.add_argument("--v", required=True)
     p.add_argument("--resolution", type=int, default=10_000)
-    p.add_argument(
-        "--refine",
-        type=int,
-        default=50,
-        help="polish steps per start, at most; a sweep that meets the lower bound skips the polish",
-    )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sigma-samples", type=int, default=1000)
     p.add_argument("--csv", help="write a per-sample trace CSV")

@@ -4,8 +4,9 @@ The loop itself is the vectorized numpy kernel ``_scan_py.fidelity_batch``:
 one real (n, 4) x (4, 8) matmul against the K_mu of ``device_parts`` gives
 S(n) for every point, then a 2x2 closed form gives the fidelity, a block of
 4096 points at a time.  The same kernel serves the sweep, which the oracle
-generates and hands over one such block per call, and the polish's small
-batches; ``perfbench/run.py --trace 1`` times it layer by layer.
+generates and hands over one such block per call, and the oracle's one
+4-row batch of witness candidates; ``perfbench/run.py --trace 1`` times it
+layer by layer.
 
 A point's value does not depend on the batch around it, with one exception:
 a batch of a single row.  numpy computes a (1, 4) x (4, 8) product on a
@@ -13,9 +14,8 @@ different BLAS path, which can round the last bit differently (up to
 2.2e-16 in f).  Any split of a batch into pieces of two or more rows gives
 bit-identical values, which is why the kernel never leaves a lone row at
 the end of its last block (``_scan_py.block_bounds``, which the streamed
-sweep follows too).  The polish's batches always carry at least 3
-rows (each start asks for 3 or 4 points at a time), so a polish start's
-values do not depend on the other starts that share its batches.
+sweep follows too).  The witness batch has 4 rows, so it never takes
+that path either.
 """
 
 from __future__ import annotations

@@ -2,7 +2,10 @@
 
 The inner maximization over program states is analytic (top eigenvalue of
 S^dag S), so the only approximation is the discretization of the target
-group, handled by a seeded low-discrepancy sweep of S^3 plus simplex polish.
+group: a seeded low-discrepancy sweep of S^3.  The Gram matrix of the
+device's Bloch parts gives a proven lower bound and a witness point that
+attains it, so the scan also evaluates that witness and reports the lower
+of the two minima.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ AXIS_POINTS.setflags(write=False)
 _PHI3 = 1.2207440846057596
 _ALPHAS = np.array([1.0 / _PHI3, 1.0 / _PHI3**2, 1.0 / _PHI3**3])
 
-# A sweep minimum within this of the proven lower bound is the minimum up to
-# rounding, so the polish is skipped.  On a canonical device an axis point
-# meets the bound to within ~1e-16; elsewhere the sweep misses the
-# minimizer, by ~1e-10 or more on the devices tested.
-CERTIFY_TOL = 1e-15
+# Size of the angle grid on [0, pi) over which the witness search maximizes
+# |det S| (``_witnesses``).  Grids of 4 to 91 angles give the same witness
+# gaps on the tested devices, to rounding; each angle costs one small
+# eigensolve per candidate.
+WITNESS_ANGLES = 8
 
 
 def _check_count(name: str, value, lowest: int = 0) -> None:
@@ -49,8 +52,11 @@ def _check_count(name: str, value, lowest: int = 0) -> None:
 
 @dataclass(frozen=True)
 class ScanConfig:
+    """Scan size and seeds.  ``refine_steps`` is validated but unused: it
+    capped the retired simplex polish, and perfbench still passes it."""
+
     resolution: int = 10_000
-    refine_steps: int = 50
+    refine_steps: int = 0
     seed: int = 0
     sigma_samples: int = 1000
 
@@ -65,11 +71,7 @@ class ScanResult:
 
     ``lower_bound`` is lambda_min(Q)/8, below which no kernel value can lie
     (``_lower_bound``).  ``evaluations`` is the number of objective values
-    the scan uses: every sweep point plus, when the polish runs, the values
-    a one-point-at-a-time Nelder-Mead computes for each start.  The polish
-    also evaluates speculative points that a step then discards; those are
-    not counted.  A sweep minimum within ``CERTIFY_TOL`` of the bound skips
-    the polish, so ``evaluations`` is then the resolution.
+    the scan computes: every sweep point and the four witness candidates.
     """
 
     f_min: float
@@ -177,150 +179,73 @@ def _sweep(parts, offset: np.ndarray, n: int) -> np.ndarray:
     return values
 
 
-def _tangent_frame(n: np.ndarray) -> np.ndarray:
-    """Rows: an orthonormal basis of the tangent space of S^3 at n."""
-    frame = []
-    order = np.argsort(np.abs(n))  # start from axes least aligned with n
-    for k in order[:3]:
-        e = np.zeros(4)
-        e[k] = 1.0
-        e -= (e @ n) * n
-        for t in frame:
-            e -= (e @ t) * t
-        e /= np.linalg.norm(e)
-        frame.append(e)
-    return np.array(frame)
-
-
-def _lowest(values: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the ``count`` smallest values, ascending, ties lowest index first.
-
-    Equals ``np.argsort(values, kind="stable")[:count]`` (NaN last) but sorts
-    only the values at or below the count-th smallest, which a partition finds.
-    """
-    if count >= len(values):
-        return np.argsort(values, kind="stable")
-    cut = values[np.argpartition(values, count - 1)[count - 1]]
-    # "not above" keeps NaNs when the cut itself is NaN; otherwise they sort past it
-    keep = np.flatnonzero(~(values > cut))
-    return keep[np.argsort(values[keep], kind="stable")][:count]
-
-
-def _nelder_mead(steps: int, scale: float):
-    """Serial Nelder-Mead in a 3-d chart, from a right-angle simplex at the origin.
-
-    A generator: it yields the list of chart points it needs next, is sent
-    the list of their values, and returns (best value, best point,
-    evaluations).  It asks for the 4 initial vertices, then per step for the
-    reflected, expanded and contracted points together, since all three
-    depend only on the simplex, and for the 3 shrink points when it shrinks.
-    Each step takes the branch the one-point-at-a-time method takes.
-    Vertices are ranked by value, ties in vertex order.
-
-    ``evaluations`` counts the objective values the search uses, which is
-    what a one-point-at-a-time run computes; a speculative value that the
-    chosen branch discards is not counted.
-    """
-    simplex = [(0.0, 0.0, 0.0), (scale, 0.0, 0.0), (0.0, scale, 0.0), (0.0, 0.0, scale)]
-    values = yield simplex
-    evaluations = 4
-    for _ in range(steps):
-        order = sorted(range(4), key=values.__getitem__)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        (b0, b1, b2), (p0, p1, p2), (q0, q1, q2), (w0, w1, w2) = simplex
-        c0, c1, c2 = (b0 + p0 + q0) / 3.0, (b1 + p1 + q1) / 3.0, (b2 + p2 + q2) / 3.0
-        reflected = (c0 + (c0 - w0), c1 + (c1 - w1), c2 + (c2 - w2))
-        expanded = (c0 + 2.0 * (c0 - w0), c1 + 2.0 * (c1 - w1), c2 + 2.0 * (c2 - w2))
-        contracted = (c0 + 0.5 * (w0 - c0), c1 + 0.5 * (w1 - c1), c2 + 0.5 * (w2 - c2))
-        f_ref, f_exp, f_con = yield [reflected, expanded, contracted]
-        if f_ref < values[0]:
-            evaluations += 2
-            simplex[3], values[3] = (expanded, f_exp) if f_exp < f_ref else (reflected, f_ref)
-        elif f_ref < values[2]:
-            evaluations += 1
-            simplex[3], values[3] = reflected, f_ref
-        elif f_con < values[3]:
-            evaluations += 2
-            simplex[3], values[3] = contracted, f_con
-        else:
-            evaluations += 5
-            simplex[1:] = [
-                (b0 + 0.5 * (x0 - b0), b1 + 0.5 * (x1 - b1), b2 + 0.5 * (x2 - b2))
-                for x0, x1, x2 in simplex[1:]
-            ]
-            values[1:] = yield simplex[1:]
-    i = min(range(4), key=values.__getitem__)
-    return values[i], simplex[i], evaluations
-
-
-def _polish(
-    parts, starts: np.ndarray, steps: int, scale: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Nelder-Mead in a tangent chart at each start, reprojected to S^3.
-
-    Each start runs its own serial simplex (``_nelder_mead``).  Every round
-    maps the points all unfinished starts are waiting for onto S^3 and
-    evaluates them in one kernel call.  Every start waits for at least 3
-    points, so no call has the single row whose rounding differs (see
-    ``kernels``), and a start makes the moves it would make alone, bit for
-    bit.  Returns each start's best value and point, and the sum of the
-    starts' evaluations: the objective values their searches use, not the
-    speculative values a step discards.
-    """
-    frames = np.array([_tangent_frame(n0) for n0 in starts])
-
-    def point(idx, x):
-        p = starts[idx] + np.einsum("ki,kij->kj", x, frames[idx])
-        return p / np.sqrt(np.einsum("kj,kj->k", p, p))[:, None]
-
-    runs = [_nelder_mead(steps, scale) for _ in starts]
-    waiting = {k: next(run) for k, run in enumerate(runs)}
-    found = [None] * len(runs)
-    while waiting:
-        idx = [k for k, xs in waiting.items() for _ in xs]
-        x = [xi for xs in waiting.values() for xi in xs]
-        values = fidelity_from_bloch_batch(parts, point(idx, np.array(x))).tolist()
-        at = 0
-        for k, xs in list(waiting.items()):
-            got, at = values[at : at + len(xs)], at + len(xs)
-            try:
-                waiting[k] = runs[k].send(got)
-            except StopIteration as done:
-                found[k] = done.value
-                del waiting[k]
-    best_f, best_x, evaluations = zip(*found)
-    return np.array(best_f), point(np.arange(len(runs)), np.array(best_x)), sum(evaluations)
+def _gram(parts) -> np.ndarray:
+    """Q_mu,nu = Re Tr(K_mu^dag K_nu), real symmetric; parts from device_parts()."""
+    k = parts.reshape(4, 4)
+    return (k.conj() @ k.T).real
 
 
 def _lower_bound(parts) -> float:
-    """lambda_min(Q)/8 with Q_mu,nu = Re Tr(K_mu^dag K_nu); parts from device_parts().
+    """lambda_min(Q)/8 for the Gram matrix Q of the device parts (``_gram``).
 
     ||S(n)||_F^2 = n^T Q n, and f(n) = lambda_max(S^dag S)/4 >= ||S||_F^2/8,
     so every kernel value is at least this bound.  It is tight: spec(Q)/8
     is {|t_j|^2/4}, so the bound is the closed form's F(V), reached here
     without the decomposition or the t-vector.
     """
-    k = parts.reshape(4, 4)
-    return float(np.linalg.eigvalsh((k.conj() @ k.T).real)[0]) / 8
+    return float(np.linalg.eigvalsh(_gram(parts))[0]) / 8
+
+
+def _det_form(parts) -> np.ndarray:
+    """D, complex symmetric, with det S(n) = n^T D n; parts from device_parts().
+
+    With K_mu = [[a, b], [c, d]], D_mu,nu = (a_mu d_nu + d_mu a_nu
+    - b_mu c_nu - c_mu b_nu) / 2.
+    """
+    a, b, c, d = parts.reshape(4, 4).T
+    det = np.outer(a, d) - np.outer(b, c)
+    return 0.5 * (det + det.T)
+
+
+def _witnesses(parts) -> np.ndarray:
+    """Four unit Bloch points, one per leading eigenspace of Q, where f may meet the bound.
+
+    f(n) = lambda_min(Q)/8 exactly where n lies in the bottom eigenspace E
+    of Q and the singular values of S(n) tie, that is, where
+    |det S(n)| = |n^T D n| (``_det_form``) is largest on E (Rayleigh-Ritz).
+    Row 0 is the lowest eigenvector.  Row k-1, for k = 2, 3, 4, searches the
+    span E_k of the first k eigenvectors: E_k c, where c is the top
+    eigenvector of Re(e^{-i phi} E_k^T D E_k) at the grid angle phi whose
+    top eigenvalue is largest.  One row per k stands in for E, so no
+    tolerance decides its dimension; the kernel picks the best.
+    """
+    _, vecs = np.linalg.eigh(_gram(parts))
+    det_form = _det_form(parts)
+    turns = np.exp(-1j * np.pi * np.arange(WITNESS_ANGLES) / WITNESS_ANGLES)[:, None, None]
+    out = np.empty((4, 4))
+    out[0] = vecs[:, 0]
+    for k in range(2, 5):
+        span = vecs[:, :k]
+        tops, coeffs = np.linalg.eigh((turns * (span.T @ det_form @ span)).real)
+        out[k - 1] = span @ coeffs[np.argmax(tops[:, -1]), :, -1]
+    return out / np.linalg.norm(out, axis=1)[:, None]
 
 
 def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
-    """Scan the target group for the worst fidelity and polish the incumbents.
+    """Sweep the target group for the worst fidelity, then try the Gram witness.
 
     The sweep evaluates every row of ``sample_su2(config)`` but generates
     them one kernel block at a time and keeps only the values; the minimum
-    and the polish seeds are rebuilt from their row indices.  A sweep
-    minimum within ``CERTIFY_TOL`` of the proven lower bound is returned
-    as it is, without the polish.  ``trace_path`` optionally writes a CSV
-    of (index, n0..n3, fidelity) for the sweep phase, the one case that
-    builds the whole sample.
+    row is rebuilt from its index.  The four witness candidates
+    (``_witnesses``) go through the kernel in one call, and ``f_min`` is the
+    lower of the two minima, ties to the sweep row.  ``trace_path``
+    optionally writes a CSV of (index, n0..n3, fidelity) for the sweep
+    phase, the one case that builds the whole sample.
     """
     parts = device_parts(v)
     lower_bound = _lower_bound(parts)
     offset = _offset(config)
     values = _sweep(parts, offset, config.resolution)
-    evaluations = len(values)
 
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
@@ -329,31 +254,22 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
             for i, (p, f) in enumerate(zip(sample_su2(config), values)):
                 writer.writerow([i, *(repr(float(x)) for x in (*p, f))])
 
-    # only the rows the scan reads are rebuilt: the polish seeds, the minimum first
-    seeds = _lowest(values, 16 if config.refine_steps > 0 else 1)
-    f_min = float(values[seeds[0]])
-    worst, *seed_points = _sample_rows(offset, seeds)
-
-    if config.refine_steps > 0 and f_min > lower_bound + CERTIFY_TOL:
-        scale = max((2 * np.pi**2 / config.resolution) ** (1.0 / 3.0), 1e-3)
-        candidates = [worst]
-        for p in seed_points:
-            if all(min(np.linalg.norm(p - c), np.linalg.norm(p + c)) > 0.1 for c in candidates):
-                candidates.append(p)
-            if len(candidates) == 4:
-                break
-        f_loc, n_loc, used = _polish(parts, np.array(candidates), config.refine_steps, scale)
-        evaluations += used
-        for f, n in zip(f_loc, n_loc):
-            if f < f_min:
-                f_min, worst = float(f), n
+    i = int(np.argmin(values))
+    f_min = float(values[i])
+    worst = _sample_rows(offset, [i])[0]
+    candidates = _witnesses(parts)
+    # four rows: never the one-row BLAS path (see kernels)
+    witness_values = fidelity_from_bloch_batch(parts, candidates)
+    j = int(np.argmin(witness_values))
+    if witness_values[j] < f_min:
+        f_min, worst = float(witness_values[j]), candidates[j]
 
     reference = worst_case_fidelity(v).fidelity
     return ScanResult(
         f_min=f_min,
         worst_bloch=worst,
         gap_to_closed_form=f_min - reference,
-        evaluations=evaluations,
+        evaluations=len(values) + len(candidates),
         lower_bound=lower_bound,
     )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -40,8 +41,9 @@ S3_TOL = 1e-12
 
 def pauli(j: int) -> np.ndarray:
     """sigma_0 = I, sigma_1 = X, sigma_2 = Y, sigma_3 = Z."""
-    if j not in (0, 1, 2, 3):
-        raise DimensionError(f"Pauli index must be 0..3, got {j}")
+    # numpy integers are Integral; bool is too, but is no index
+    if not isinstance(j, Integral) or isinstance(j, bool) or j not in (0, 1, 2, 3):
+        raise DimensionError(f"Pauli index must be 0..3, got {j!r}")
     return PAULI[j].copy()
 
 

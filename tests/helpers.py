@@ -190,103 +190,62 @@ def sigma_dominance_loop(u, v, n, seed=0):
     return top
 
 
-def serial_polish(objective, n0, steps, scale):
-    """Single-start Nelder-Mead in a tangent chart at n0, one objective call per point.
+def gram_forms(parts):
+    """(Q, D) with ||S(n)||_F^2 = n^T Q n and det S(n) = n^T D n, for parts from device_parts().
 
-    ``objective`` maps one unit Bloch vector to a float.  Vertices are ranked
-    by value, ties in vertex order.  Returns (best value, best Bloch point,
-    evaluations).
+    The references for ``oracle._gram`` (one matmul) and ``oracle._det_form``
+    (products of entries): Q by einsum, and D by polarizing the determinant,
+    D_mu,nu = (det(K_mu + K_nu) - det K_mu - det K_nu) / 2, with np.linalg.det.
     """
-    order = np.argsort(np.abs(n0))
-    frame = []
-    for k in order[:3]:
-        e = np.zeros(4)
-        e[k] = 1.0
-        e -= (e @ n0) * n0
-        for t in frame:
-            e -= (e @ t) * t
-        frame.append(e / np.linalg.norm(e))
-    frame = np.array(frame)
-    evaluations = 0
-
-    def point(x):
-        p = n0 + x @ frame
-        return p / np.linalg.norm(p)
-
-    def chart_objective(x):
-        nonlocal evaluations
-        evaluations += 1
-        return objective(point(x))
-
-    simplex = [np.zeros(3)] + [scale * e for e in np.eye(3)]
-    values = [chart_objective(x) for x in simplex]
-    for _ in range(steps):
-        order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
-        f_ref = chart_objective(reflected)
-        if f_ref < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_exp = chart_objective(expanded)
-            if f_exp < f_ref:
-                simplex[-1], values[-1] = expanded, f_exp
-            else:
-                simplex[-1], values[-1] = reflected, f_ref
-        elif f_ref < values[-2]:
-            simplex[-1], values[-1] = reflected, f_ref
-        else:
-            contracted = centroid + 0.5 * (worst - centroid)
-            f_con = chart_objective(contracted)
-            if f_con < values[-1]:
-                simplex[-1], values[-1] = contracted, f_con
-            else:
-                for i in range(1, 4):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    values[i] = chart_objective(simplex[i])
-    best = int(np.argmin(values))
-    return float(values[best]), point(simplex[best]), evaluations
-
-
-def gram_lower_bound(parts):
-    """lambda_min(Q)/8 with Q_mu,nu = Re Tr(K_mu^dag K_nu), Q by einsum.
-
-    The reference for ``oracle._lower_bound``, which builds Q as one matmul.
-    """
+    parts = np.asarray(parts, dtype=complex)
     q = np.einsum("mab,nab->mn", np.conj(parts), parts).real
-    return float(np.linalg.eigvalsh(q)[0]) / 8
+    dets = np.linalg.det(parts)
+    d = 0.5 * (np.linalg.det(parts[:, None] + parts[None, :]) - dets[:, None] - dets[None, :])
+    return q, d
+
+
+def witness_candidates(parts):
+    """The four Gram witness candidates, one angle and one eigensolve at a time.
+
+    For k = 1..4, E_k holds the k lowest eigenvectors of Q, and the candidate
+    is E_k c for the top eigenvector c of Re(e^{-i phi} E_k^T D E_k), at the
+    first of ``oracle.WITNESS_ANGLES`` angles on [0, pi) with the largest top
+    eigenvalue; at k = 1 that is the lowest eigenvector, up to sign.  Q and
+    D come from ``gram_forms``.
+    """
+    q, d = gram_forms(parts)
+    vecs = np.linalg.eigh(q)[1]
+    angles = [np.pi * i / oracle.WITNESS_ANGLES for i in range(oracle.WITNESS_ANGLES)]
+    candidates = []
+    for k in range(1, 5):
+        span = vecs[:, :k]
+        m = span.T @ d @ span
+        top, best = -np.inf, None
+        for phi in angles:
+            w, c = np.linalg.eigh((np.exp(-1j * phi) * m).real)
+            if w[-1] > top:
+                top, best = w[-1], c[:, -1]
+        point = span @ best
+        candidates.append(point / np.sqrt(point @ point))
+    return np.array(candidates)
 
 
 def materialized_scan(v, config):
-    """minimax_scan on the whole sample at once, the streamed scan's reference.
+    """minimax_scan on the whole sample at once, with the witness built independently.
 
-    Builds every point with ``sample_su2``, sweeps them in one kernel call,
-    then polishes from the lowest rows of that array, unless the sweep
-    minimum is within ``oracle.CERTIFY_TOL`` of the Gram lower bound.
-    Returns (f_min, worst Bloch point, evaluations).
+    Builds every point with ``sample_su2`` and sweeps them in one kernel
+    call; then evaluates ``witness_candidates`` and keeps the lower minimum,
+    ties to the sweep row.  Returns (f_min, worst Bloch point, evaluations,
+    sweep minimum).
     """
     parts = device_parts(v)
     points = sample_su2(config)
     values = fidelity_from_bloch_batch(parts, points)
-    evaluations = len(points)
     best = int(np.argmin(values))
-    f_min = float(values[best])
-    worst = points[best].copy()
-    certified = f_min <= gram_lower_bound(parts) + oracle.CERTIFY_TOL
-    if config.refine_steps > 0 and not certified:
-        scale = max((2 * np.pi**2 / config.resolution) ** (1.0 / 3.0), 1e-3)
-        candidates = [worst]
-        for i in oracle._lowest(values, 16):
-            p = points[i]
-            if all(min(np.linalg.norm(p - c), np.linalg.norm(p + c)) > 0.1 for c in candidates):
-                candidates.append(p.copy())
-            if len(candidates) == 4:
-                break
-        f_loc, n_loc, used = oracle._polish(parts, np.array(candidates), config.refine_steps, scale)
-        evaluations += used
-        for f, n in zip(f_loc, n_loc):
-            if f < f_min:
-                f_min, worst = float(f), n
-    return f_min, worst, evaluations
+    f_min, worst = float(values[best]), points[best]
+    candidates = witness_candidates(parts)
+    witness = fidelity_from_bloch_batch(parts, candidates)
+    j = int(np.argmin(witness))
+    if witness[j] < f_min:
+        f_min, worst = float(witness[j]), candidates[j]
+    return f_min, worst, len(points) + len(candidates), float(values[best])

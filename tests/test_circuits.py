@@ -56,6 +56,32 @@ class TestGateMatrix:
         with pytest.raises(ContractError):
             cnot(0, 0)
 
+    @pytest.mark.parametrize("wire", [1.9, 1.0, True, False, np.float64(0.0), "1", None])
+    def test_non_integer_wire_rejected(self, wire):
+        with pytest.raises(DimensionError, match="wire index must be 0 or 1"):
+            rotation("xrot", wire, 0.3)
+        with pytest.raises(DimensionError, match="wire index must be 0 or 1"):
+            cnot(wire, 0 if wire else 1)
+        with pytest.raises(DimensionError, match="wire index must be 0 or 1"):
+            local(wire, I2)
+
+    def test_numpy_integer_wire_accepted(self):
+        gate = rotation("xrot", np.int64(1), 0.3)
+        assert gate.wires == (1,) and type(gate.wires[0]) is int
+        np.testing.assert_array_equal(gate_matrix(gate), gate_matrix(rotation("xrot", 1, 0.3)))
+
+    @pytest.mark.parametrize(
+        "angle", [np.nan, np.inf, -np.inf, np.float64("nan"), True, 0.3 + 0j, "0.3", None]
+    )
+    def test_bad_angle_rejected(self, angle):
+        with pytest.raises(ContractError, match="xrot (needs one wire and an angle|angle must be)"):
+            rotation("xrot", 0, angle)
+
+    def test_real_angles_stored_as_float(self):
+        for angle in (np.float64(0.25), np.float32(0.5), 2, np.int64(-1)):
+            gate = rotation("zrot", 1, angle)
+            assert type(gate.angle) is float and gate.angle == float(angle)
+
 
 class TestCircuitMatrix:
     def test_empty(self):

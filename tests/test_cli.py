@@ -178,7 +178,7 @@ class TestOracleVerb:
     def test_scan_report(self, files, capsys):
         code, out, _ = run(
             capsys,
-            "oracle", "--v", files["v_opt"], "--resolution", "2000", "--refine", "20", "--seed", "3",
+            "oracle", "--v", files["v_opt"], "--resolution", "2000", "--seed", "3",
             "--sigma-samples", "200",
         )
         assert code == 0
@@ -189,16 +189,37 @@ class TestOracleVerb:
         assert rep["sigma_dominance_max"] <= rep["f_min"] + 1e-10
 
     def test_deterministic_output(self, files, capsys):
-        args = ("oracle", "--v", files["v_id"], "--resolution", "500", "--refine", "5", "--seed", "1")
+        args = ("oracle", "--v", files["v_id"], "--resolution", "500", "--seed", "1")
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
     def test_env_seed(self, files, capsys, monkeypatch):
         monkeypatch.setenv("PROGCHAN_SEED", "17")
-        code, out, _ = run(capsys, "oracle", "--v", files["v_id"], "--resolution", "500", "--refine", "0")
+        code, out, _ = run(capsys, "oracle", "--v", files["v_id"], "--resolution", "500")
         assert code == 0
         assert json.loads(out)["seed"] == 17
+
+    def test_witness_on_haar_device(self, files, capsys):
+        args = ("oracle", "--v", files["v_haar"], "--resolution", "500", "--seed", "2")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        rep = json.loads(out)
+        # the keys the verb has always written; refine_steps reads 0 and is unused
+        assert set(rep) == {
+            "f_min", "worst_bloch", "gap_to_closed_form", "lower_bound", "evaluations",
+            "resolution", "refine_steps", "seed", "sigma_dominance_max",
+        }
+        assert rep["evaluations"] == 504 and rep["refine_steps"] == 0
+        # 500 sweep points alone miss F by far more; the witness meets it
+        assert abs(rep["gap_to_closed_form"]) <= 1e-13
+        assert abs(rep["f_min"] - rep["lower_bound"]) <= 1e-15
+        assert run(capsys, *args)[1] == out
+
+    def test_refine_flag_gone(self, files, capsys):
+        code, out, err = run(capsys, "oracle", "--v", files["v_id"], "--refine", "5")
+        assert code == 2 and out == ""
+        assert "--refine" in err
 
 
     def test_negative_sigma_samples(self, files, capsys):

@@ -33,6 +33,12 @@ class TestPauli:
     def test_bad_index(self):
         with pytest.raises(DimensionError):
             pauli(4)
+        # bool and non-integral indices, even ones equal to a valid index
+        for j in (True, False, 1.0, np.float64(2.0), -1, np.int64(4), "1", None):
+            with pytest.raises(DimensionError, match="Pauli index must be 0..3"):
+                pauli(j)
+        np.testing.assert_array_equal(pauli(np.int64(2)), pauli(2))
+        np.testing.assert_array_equal(pauli(np.uint8(3)), pauli(3))
 
 
 class TestEpsilonSign:
