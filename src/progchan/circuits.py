@@ -40,6 +40,9 @@ class Gate:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
+        # a string is iterable too, but its characters are no wires
+        if not isinstance(self.wires, (tuple, list)):
+            raise DimensionError(f"wires must be a tuple or list of wire indices, got {self.wires!r}")
         for w in self.wires:
             # numpy integers are Integral; bool is too, but is no wire
             if not isinstance(w, Integral) or isinstance(w, bool) or w not in (0, 1):

@@ -11,6 +11,7 @@ of the two minima.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, fields
 from numbers import Integral
 
@@ -33,6 +34,9 @@ AXIS_POINTS.setflags(write=False)
 # the golden ratio (root of x^4 = x + 1).
 _PHI3 = 1.2207440846057596
 _ALPHAS = np.array([1.0 / _PHI3, 1.0 / _PHI3**2, 1.0 / _PHI3**3])
+# The angles of sequence index k come from a table of 2**_TABLE_BITS
+# rotations, indexed by k's low bits, times one rotation per period.
+_TABLE_BITS = 12
 
 # Size of the angle grid on [0, pi) over which the witness search maximizes
 # |det S| (``_witnesses``).  Grids of 4 to 91 angles give the same witness
@@ -111,29 +115,63 @@ def random_density(rng) -> np.ndarray:
     return _random_densities(rng, 1)[0]
 
 
+@functools.cache
+def _rotation_table() -> np.ndarray:
+    """Read-only (4096, 2) table of sin + i cos of 2 pi frac(alpha_m j), m = azimuth, polar.
+
+    Built on first use, the same object on every call; it does not depend
+    on the seed (``_sequence_points``).
+    """
+    j = np.arange(1 << _TABLE_BITS)[:, None]
+    turns = _ALPHAS[1:] * j
+    turns -= np.floor(turns)
+    turns *= 2 * np.pi
+    table = np.empty((len(j), 2), dtype=complex)
+    table.real = np.sin(turns)
+    table.imag = np.cos(turns)
+    table.setflags(write=False)
+    return table
+
+
 def _sequence_points(offset: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Sequence points at the indices k, coordinate-major, shape (4, len(k)).
+    """Sequence points at the indices k, row-major, shape (len(k), 4).
 
     The additive recurrence u_k = frac(offset + alpha k) fills the unit
-    cube, and the standard area-preserving map carries it onto S^3.  Each
-    point depends on its own index only, so any set of indices gives the
-    same bits as the full sequence.
+    cube, and the standard area-preserving map carries it onto S^3:
+    (sqrt(1 - u0) e_azim, sqrt(u0) e_polar), where e_m is the (sin, cos)
+    pair of the angle 2 pi u_m.  That pair is read as sin + i cos, which
+    for k = 4096 q + j is the product of the table entry at j
+    (``_rotation_table``) and cos b - i sin b, b = 2 pi frac(offset +
+    alpha 4096 q), so no angle needs a sin or cos of its own.  Each point
+    depends on its own index only, so any set of indices gives the same
+    bits as the full sequence.
     """
-    u = _ALPHAS[:, None] * k
-    u += offset[:, None]
-    coords = np.empty((4, len(k)))
-    u -= np.floor(u, out=coords[:3])  # frac(), exact for the non-negative arguments of k >= 1
-    angles = u[1:]
-    angles *= 2 * np.pi  # azimuth, polar
-    radii = np.empty((2, len(k)))  # low, high
-    np.subtract(1.0, u[0], out=radii[0])
-    radii[1] = u[0]
+    out = np.empty((len(k), 4))
+    rotations = out.view(complex)  # (azimuth, polar) per row
+    # mode="wrap" indexes by k mod 4096, negative k too, and with out= it
+    # writes in place, where the default mode would buffer
+    np.take(_rotation_table(), k, axis=0, out=rotations, mode="wrap")
+    periods = k >> _TABLE_BITS
+    first = int(periods.min())
+    turns = _ALPHAS[1:] * (np.arange(first, int(periods.max()) + 1) << _TABLE_BITS)[:, None]
+    turns += offset[1:]
+    turns -= np.floor(turns)  # frac()
+    turns *= 2 * np.pi
+    bases = np.empty(turns.shape, dtype=complex)
+    bases.real = np.cos(turns)
+    bases.imag = -np.sin(turns)
+    periods -= first
+    rotations *= np.take(bases, periods, axis=0)
+    u = k.astype(float)
+    u *= _ALPHAS[0]
+    u += offset[0]
+    u -= np.floor(u)  # frac(), exact for the non-negative arguments of k >= 1
+    radii = np.empty((len(k), 2))  # low, high
+    np.subtract(1.0, u, out=radii[:, 0])
+    radii[:, 1] = u
     np.sqrt(radii, out=radii)
-    np.sin(angles, out=coords[0::2])
-    np.cos(angles, out=coords[1::2])
-    coords[0::2] *= radii
-    coords[1::2] *= radii
-    return coords
+    rotations *= radii  # a real factor: each part is one rounded real product
+    return out
 
 
 def _sample_rows(offset: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -144,7 +182,7 @@ def _sample_rows(offset: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """
     rows = np.asarray(rows)
     n_axis = len(AXIS_POINTS)
-    out = np.ascontiguousarray(_sequence_points(offset, rows - (n_axis - 1)).T)
+    out = _sequence_points(offset, rows - (n_axis - 1))
     axis = np.flatnonzero(rows < n_axis)
     out[axis] = AXIS_POINTS[rows[axis]]
     return out

@@ -7,6 +7,7 @@ from progchan import (
     Circuit,
     ContractError,
     DimensionError,
+    Gate,
     IdentityCheck,
     SynthesisError,
     build_general_circuit,
@@ -64,6 +65,16 @@ class TestGateMatrix:
             cnot(wire, 0 if wire else 1)
         with pytest.raises(DimensionError, match="wire index must be 0 or 1"):
             local(wire, I2)
+
+    @pytest.mark.parametrize("wires", [5, np.int64(0), "01", "0", b"\x00", None, {0, 1}])
+    def test_wires_not_a_sequence_rejected(self, wires):
+        with pytest.raises(DimensionError, match="wires must be a tuple or list"):
+            Gate(kind="cnot", wires=wires)
+        with pytest.raises(DimensionError, match="wires must be a tuple or list"):
+            Gate(kind="xrot", wires=wires, angle=0.3)
+
+    def test_wires_list_accepted(self):
+        assert Gate(kind="cnot", wires=[1, 0]).wires == (1, 0)
 
     def test_numpy_integer_wire_accepted(self):
         gate = rotation("xrot", np.int64(1), 0.3)

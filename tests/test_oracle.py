@@ -88,23 +88,51 @@ class TestSampleSU2:
         assert np.max(np.abs(a[8:] - b[8:])) > 1e-3
 
     def test_matches_mod_formula(self):
-        # reference: the recurrence written with np.mod, bit for bit
-        for seed, resolution in ((0, 100_000), (5, 2000), (11, 109), (3, 100)):
+        # reference, bit for bit: k = 4096 q + j by divmod, and sin + i cos of
+        # each angle is the table entry at j times cos b - i sin b of period q
+        turns = 2 * np.pi * np.mod(np.arange(4096)[:, None] * _ALPHAS[1:], 1.0)
+        table = np.sin(turns) + 1j * np.cos(turns)
+        for seed, resolution in ((0, 100_000), (5, 2000), (11, 109), (3, 100), (2, 4096 + 9)):
             pts = sample_su2(ScanConfig(resolution=resolution, seed=seed))
             offset = np.random.default_rng(seed).random(3)
-            idx = np.arange(1, resolution - len(AXIS_POINTS) + 1)[:, None]
-            u = np.mod(offset + idx * _ALPHAS, 1.0)
-            azim, polar = 2 * np.pi * u[:, 1], 2 * np.pi * u[:, 2]
-            r_low, r_high = np.sqrt(1.0 - u[:, 0]), np.sqrt(u[:, 0])
+            idx = np.arange(1, resolution - len(AXIS_POINTS) + 1)
+            q, j = np.divmod(idx, 4096)
+            b = 2 * np.pi * np.mod(offset[1:] + (4096 * q)[:, None] * _ALPHAS[1:], 1.0)
+            rot = table[j] * (np.cos(b) - 1j * np.sin(b))
+            u0 = np.mod(offset[0] + idx * _ALPHAS[0], 1.0)
+            r_low, r_high = np.sqrt(1.0 - u0), np.sqrt(u0)
             expected = np.column_stack(
                 [
-                    r_low * np.sin(azim),
-                    r_low * np.cos(azim),
-                    r_high * np.sin(polar),
-                    r_high * np.cos(polar),
+                    r_low * rot[:, 0].real,
+                    r_low * rot[:, 0].imag,
+                    r_high * rot[:, 1].real,
+                    r_high * rot[:, 1].imag,
                 ]
             )
             np.testing.assert_array_equal(pts[len(AXIS_POINTS) :], expected)
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_close_to_trig_recurrence(self, seed):
+        # the recurrence with one sin or cos per angle rounds alpha k apart
+        # from the table's split of k, by ~1e-10 at 100k points
+        pts = sample_su2(ScanConfig(resolution=100_000, seed=seed))
+        offset = np.random.default_rng(seed).random(3)
+        idx = np.arange(1, len(pts) - len(AXIS_POINTS) + 1)[:, None]
+        u = np.mod(offset + idx * _ALPHAS, 1.0)
+        azim, polar = 2 * np.pi * u[:, 1], 2 * np.pi * u[:, 2]
+        r_low, r_high = np.sqrt(1.0 - u[:, 0]), np.sqrt(u[:, 0])
+        expected = np.column_stack(
+            [r_low * np.sin(azim), r_low * np.cos(azim), r_high * np.sin(polar), r_high * np.cos(polar)]
+        )
+        np.testing.assert_allclose(pts[len(AXIS_POINTS) :], expected, rtol=0, atol=1e-9)
+
+    def test_rotation_table_shared_and_read_only(self):
+        table = oracle._rotation_table()
+        assert table is oracle._rotation_table()
+        assert table.shape == (4096, 2) and table.dtype == complex
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
@@ -219,6 +247,14 @@ class TestStreamedSweep:
             [n_axis - 1, n_axis, n_axis - 1, 0],
             [42],
             [5],
+            # sequence indices 4095-4097 and 8191-8193 straddle the rotation
+            # table's periods; rows 4103 and 8199 start one, row 7 the first
+            np.arange(4102, 4105),
+            np.arange(8198, 8201),
+            [4103],
+            [8199],
+            [7],
+            [8199, 4103, 4102, 8200, 8],
         ]
         # blocks as the sweep asks for them, and ones across the axis rows
         for start, stop in ((0, 3), (2, 8), (5, 4101), (8, 9), (4096, 8192), (99_999, 100_000)):
