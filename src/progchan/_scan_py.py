@@ -1,19 +1,20 @@
 """The scan inner loop, vectorized in numpy.
 
 For a fixed device the fidelity at Bloch point n is the top eigenvalue of
-S^dag S over 4, with S(n) = sum_mu n_mu K_mu; at 2x2 it has a closed form.
-S is real-linear in n, so the sum is one real (n, 4) x (4, 8) matmul whose
-rows are the real and imaginary parts of S's four entries, read back as
-complex without a copy.  Points go through in blocks of ``_BLOCK`` rows
-(``block_bounds``); the oracle's sweep generates its sample in the same
-blocks, so it never holds more than one block of points.
+S^dag S over 4.  The 2x2 matrix S^dag S is (h_0 I + sum_a h_a sigma_a) / 2
+with h_a = n^T Q_a n for the device's forms Q_a (``kernels.device_parts``),
+so the fidelity is (h_0 + |(h_1, h_2, h_3)|) / 8.  Each h_a is linear in the
+ten monomials n_mu n_nu (mu <= nu), so one real (n, 10) x (10, 4) matmul
+gives all four for a block of points (``block_bounds``).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-# rows per block: about 1 MB of temporaries, which stay in a core's L2 cache
+# rows per block: under 1 MB of temporaries, which stay in a core's L2 cache
 _BLOCK = 4096
 
 
@@ -32,29 +33,36 @@ def block_bounds(n: int):
         start = stop
 
 
+@functools.lru_cache(maxsize=8)
+def _packed(forms: bytes) -> np.ndarray:
+    """Each form's (4, 10) coefficients of the kernel's monomials, cached by value: built
+    once per device.  An off-diagonal monomial stands for two terms."""
+    mu, nu = np.triu_indices(4)
+    packed = np.frombuffer(forms).reshape(4, 4, 4)[:, mu, nu] * np.where(mu == nu, 1.0, 2.0)
+    packed.setflags(write=False)
+    return packed
+
+
 def fidelity_batch(parts, ns, out):
-    """Fill out[i] with the best-program fidelity at Bloch point ns[i]."""
-    # C order makes the float views below legal and the matmul's rounding
-    # the same for every input layout; contiguous inputs are not copied
-    parts = np.ascontiguousarray(parts, dtype=complex)
-    ns = np.ascontiguousarray(ns, dtype=float)
-    if parts.shape != (4, 2, 2):
-        raise ValueError("parts must have shape (4, 2, 2)")
+    """Fill out[i] with the best-program fidelity at Bloch point ns[i]; parts are the forms."""
+    parts = np.asarray(parts, dtype=float)
+    ns = np.asarray(ns, dtype=float)
+    if parts.shape != (4, 4, 4):
+        raise ValueError("parts must have shape (4, 4, 4)")
     if ns.ndim != 2 or ns.shape[1] != 4:
         raise ValueError("ns must have shape (n, 4)")
     if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != (len(ns),):
         raise ValueError("out must be a float64 array of shape (n,)")
-    # row mu: Re, Im of K_mu[0, 0], K_mu[0, 1], K_mu[1, 0], K_mu[1, 1]
-    k = parts.reshape(4, 4).view(float)
+    packed = _packed(parts.tobytes())  # C order, whatever the layout
     for start, stop in block_bounds(len(ns)):
-        # columns: S00, S01, S10, S11
-        s = (ns[start:stop] @ k).view(complex)
-        mag = np.abs(s) ** 2
-        h00 = mag[:, 0] + mag[:, 2]
-        h11 = mag[:, 1] + mag[:, 3]
-        cross = np.conj(s[:, 0::2]) * s[:, 1::2]
-        h01 = cross[:, 0] + cross[:, 1]
-        mean = 0.5 * (h00 + h11)
-        diff = 0.5 * (h00 - h11)
-        np.copyto(out[start:stop], 0.25 * (mean + np.sqrt(diff * diff + np.abs(h01) ** 2)))
+        coords = ns[start:stop].T
+        # n_mu n_nu for mu <= nu in np.triu_indices order, one broadcast product
+        # per mu into rows 0-3, 4-6, 7-8 and 9: no gathered temporaries
+        monomials = np.empty((10, stop - start))
+        for mu, row in enumerate((0, 4, 7, 9)):
+            np.multiply(coords[mu], coords[mu:], out=monomials[row : row + 4 - mu])
+        # the product's transpose, (4, 10) x (10, n), so that each h_a is a
+        # contiguous row: h_0 (the trace), h_1, h_2, h_3
+        h = packed @ monomials
+        np.copyto(out[start:stop], (h[0] + np.sqrt(h[1] ** 2 + h[2] ** 2 + h[3] ** 2)) / 8)
     return out

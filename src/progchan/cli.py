@@ -348,7 +348,7 @@ def main(argv=None) -> int:
         if hasattr(args, "seed"):
             args.seed = _resolve_seed(args.seed)
         return args.func(args)
-    except (MatrixFormatError, ContractError, FileNotFoundError) as exc:
+    except (MatrixFormatError, ContractError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except DecompositionError as exc:

@@ -1,15 +1,12 @@
-"""Entry points to the scan inner loop.
+"""Entry points to the scan inner loop, ``_scan_py.fidelity_batch``.
 
-The loop itself is the vectorized numpy kernel ``_scan_py.fidelity_batch``:
-one real (n, 4) x (4, 8) matmul against the K_mu of ``device_parts`` gives
-S(n) for every point, then a 2x2 closed form gives the fidelity, a block of
-4096 points at a time.  The same kernel serves the sweep, which the oracle
-generates and hands over one such block per call, and the oracle's one
-4-row batch of witness candidates; ``perfbench/run.py --trace 1`` times it
-layer by layer.
+The device enters the scan as four real quadratic forms (``device_parts``),
+off which the kernel reads the fidelity a block of 4096 points at a time,
+for the oracle's streamed sweep and its one 4-row batch of witness
+candidates; ``perfbench/run.py --trace 1`` times it layer by layer.
 
 A point's value does not depend on the batch around it, with one exception:
-a batch of a single row.  numpy computes a (1, 4) x (4, 8) product on a
+a batch of a single row.  numpy computes its (4, 10) x (10, 1) product on a
 different BLAS path, which can round the last bit differently (up to
 2.2e-16 in f).  Any split of a batch into pieces of two or more rows gives
 bit-identical values, which is why the kernel never leaves a lone row at
@@ -32,26 +29,33 @@ def backend_name() -> str:
     return "python"
 
 
-def device_parts(v) -> np.ndarray:
-    """Precompute K_mu with S(n) = sum_mu n_mu K_mu for the device v.
+def _bloch_parts(v) -> np.ndarray:
+    """K_mu with S(n) = sum_mu n_mu K_mu, for a joint unitary v already validated.
 
     K_mu = Tr_1[(B_mu^T x I) v^*] with B_0 = I and B_k = i sigma_k, i.e. the
     Bloch-linearization of the S operator.
     """
-    v = assert_unitary(v, 4, name="joint unitary")
-    vc = np.conj(v).reshape(2, 2, 2, 2)
-    basis = np.empty((4, 2, 2), dtype=complex)
-    basis[0] = PAULI[0]
-    basis[1:] = 1j * PAULI[1:]
+    basis = np.concatenate([PAULI[:1], 1j * PAULI[1:]])
+    vc = np.conj(np.asarray(v, dtype=complex)).reshape(2, 2, 2, 2)
     return np.einsum("mab,ajbl->mjl", basis, vc)
+
+
+def device_parts(v) -> np.ndarray:
+    """The real forms Q[a, mu, nu] = Re Tr(sigma_a K_mu^dag K_nu), shape (4, 4, 4).
+
+    n^T Q[a] n = Tr(sigma_a S(n)^dag S(n)) for the K_mu of ``_bloch_parts``;
+    Q[0] is the Gram matrix of the K_mu.
+    """
+    parts = _bloch_parts(assert_unitary(v, 4, name="joint unitary"))
+    # Tr(sigma_a K_mu^dag K_nu) sums the entrywise product of K_mu^* and K_nu sigma_a
+    twisted = (parts @ PAULI[:, None]).reshape(4, 4, 4).transpose(0, 2, 1)
+    return np.ascontiguousarray((parts.reshape(4, 4).conj() @ twisted).real)
 
 
 def fidelity_from_bloch_batch(parts, ns) -> np.ndarray:
     """Best-program fidelity at each Bloch point; parts from device_parts()."""
     ns = np.atleast_2d(np.asarray(ns, dtype=float))
-    out = np.empty(ns.shape[0], dtype=float)
-    _scan_py.fidelity_batch(parts, ns, out)
-    return out
+    return _scan_py.fidelity_batch(parts, ns, np.empty(len(ns)))
 
 
 def fidelity_from_bloch(parts, n) -> float:

@@ -2,10 +2,10 @@
 
 The inner maximization over program states is analytic (top eigenvalue of
 S^dag S), so the only approximation is the discretization of the target
-group: a seeded low-discrepancy sweep of S^3.  The Gram matrix of the
-device's Bloch parts gives a proven lower bound and a witness point that
-attains it, so the scan also evaluates that witness and reports the lower
-of the two minima.
+group: a seeded low-discrepancy sweep of S^3.  The Gram matrix Q_0 among
+the device's forms (``kernels.device_parts``) gives a proven lower bound
+and a witness point that attains it, so the scan also evaluates that
+witness and reports the lower of the two minima.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from numbers import Integral
 
 import numpy as np
 
-from . import _scan_py
+from . import _scan_py, kernels
 from .channels import program_overlap
 from .errors import ContractError
 # fidelity_from_bloch is unused here but stays bound: perfbench/tracing.py
@@ -39,7 +39,7 @@ _ALPHAS = np.array([1.0 / _PHI3, 1.0 / _PHI3**2, 1.0 / _PHI3**3])
 _TABLE_BITS = 12
 
 # Size of the angle grid on [0, pi) over which the witness search maximizes
-# |det S| (``_witnesses``).  Grids of 4 to 91 angles give the same witness
+# |det S| (``_gram_witness``).  Grids of 4 to 91 angles give the same witness
 # gaps on the tested devices, to rounding; each angle costs one small
 # eigensolve per candidate.
 WITNESS_ANGLES = 8
@@ -74,7 +74,7 @@ class ScanResult:
     """Outcome of ``minimax_scan``.
 
     ``lower_bound`` is lambda_min(Q)/8, below which no kernel value can lie
-    (``_lower_bound``).  ``evaluations`` is the number of objective values
+    (``_gram_witness``).  ``evaluations`` is the number of objective values
     the scan computes: every sweep point and the four witness candidates.
     """
 
@@ -204,7 +204,7 @@ def sample_su2(config: ScanConfig) -> np.ndarray:
     return _sample_rows(_offset(config), np.arange(config.resolution))
 
 
-def _sweep(parts, offset: np.ndarray, n: int) -> np.ndarray:
+def _sweep(forms, offset: np.ndarray, n: int) -> np.ndarray:
     """The kernel's value at each of the first n sample rows, bit for bit as on ``sample_su2``.
 
     The rows are generated and evaluated one kernel block at a time
@@ -213,60 +213,46 @@ def _sweep(parts, offset: np.ndarray, n: int) -> np.ndarray:
     values = np.empty(n)
     for start, stop in _scan_py.block_bounds(n):
         rows = _sample_rows(offset, np.arange(start, stop))
-        values[start:stop] = fidelity_from_bloch_batch(parts, rows)
+        values[start:stop] = fidelity_from_bloch_batch(forms, rows)
     return values
 
 
-def _gram(parts) -> np.ndarray:
-    """Q_mu,nu = Re Tr(K_mu^dag K_nu), real symmetric; parts from device_parts()."""
-    k = parts.reshape(4, 4)
-    return (k.conj() @ k.T).real
+def _det_form(v) -> np.ndarray:
+    """D, complex symmetric, with det S(n) = n^T D n, for a validated joint unitary v.
 
-
-def _lower_bound(parts) -> float:
-    """lambda_min(Q)/8 for the Gram matrix Q of the device parts (``_gram``).
-
-    ||S(n)||_F^2 = n^T Q n, and f(n) = lambda_max(S^dag S)/4 >= ||S||_F^2/8,
-    so every kernel value is at least this bound.  It is tight: spec(Q)/8
-    is {|t_j|^2/4}, so the bound is the closed form's F(V), reached here
-    without the decomposition or the t-vector.
+    With K_mu = [[a, b], [c, d]] (``kernels._bloch_parts``), D_mu,nu =
+    (a_mu d_nu + d_mu a_nu - b_mu c_nu - c_mu b_nu) / 2.
     """
-    return float(np.linalg.eigvalsh(_gram(parts))[0]) / 8
-
-
-def _det_form(parts) -> np.ndarray:
-    """D, complex symmetric, with det S(n) = n^T D n; parts from device_parts().
-
-    With K_mu = [[a, b], [c, d]], D_mu,nu = (a_mu d_nu + d_mu a_nu
-    - b_mu c_nu - c_mu b_nu) / 2.
-    """
-    a, b, c, d = parts.reshape(4, 4).T
+    a, b, c, d = kernels._bloch_parts(v).reshape(4, 4).T
     det = np.outer(a, d) - np.outer(b, c)
     return 0.5 * (det + det.T)
 
 
-def _witnesses(parts) -> np.ndarray:
-    """Four unit Bloch points, one per leading eigenspace of Q, where f may meet the bound.
+def _gram_witness(forms, det_form) -> tuple[float, np.ndarray]:
+    """The bound lambda_min(Q)/8 of Q = forms[0], and four unit Bloch points where f may meet it.
 
-    f(n) = lambda_min(Q)/8 exactly where n lies in the bottom eigenspace E
-    of Q and the singular values of S(n) tie, that is, where
-    |det S(n)| = |n^T D n| (``_det_form``) is largest on E (Rayleigh-Ritz).
-    Row 0 is the lowest eigenvector.  Row k-1, for k = 2, 3, 4, searches the
-    span E_k of the first k eigenvectors: E_k c, where c is the top
-    eigenvector of Re(e^{-i phi} E_k^T D E_k) at the grid angle phi whose
-    top eigenvalue is largest.  One row per k stands in for E, so no
-    tolerance decides its dimension; the kernel picks the best.
+    ||S(n)||_F^2 = n^T Q n, and f(n) = lambda_max(S^dag S)/4 >= ||S||_F^2/8,
+    so no kernel value lies below the bound.  It is tight: spec(Q)/8 is
+    {|t_j|^2/4}, so the bound is the closed form's F(V), reached here
+    without the decomposition or the t-vector.
+
+    f(n) meets it exactly where n lies in the bottom eigenspace E of Q and
+    the singular values of S(n) tie, that is, where |det S(n)| = |n^T D n|
+    (``_det_form``) is largest on E (Rayleigh-Ritz).  Row k-1, for k = 1..4,
+    searches the span E_k of the first k eigenvectors: E_k c, where c is the
+    top eigenvector of Re(e^{-i phi} E_k^T D E_k) at the grid angle phi whose
+    top eigenvalue is largest; row 0 is the lowest eigenvector.  One row per
+    k stands in for E, so no tolerance decides its dimension; the kernel
+    picks the best.  One eigh of Q serves the bound and the witness.
     """
-    _, vecs = np.linalg.eigh(_gram(parts))
-    det_form = _det_form(parts)
+    spectrum, vecs = np.linalg.eigh(forms[0])
     turns = np.exp(-1j * np.pi * np.arange(WITNESS_ANGLES) / WITNESS_ANGLES)[:, None, None]
     out = np.empty((4, 4))
-    out[0] = vecs[:, 0]
-    for k in range(2, 5):
+    for k in range(1, 5):
         span = vecs[:, :k]
         tops, coeffs = np.linalg.eigh((turns * (span.T @ det_form @ span)).real)
         out[k - 1] = span @ coeffs[np.argmax(tops[:, -1]), :, -1]
-    return out / np.linalg.norm(out, axis=1)[:, None]
+    return float(spectrum[0]) / 8, out / np.linalg.norm(out, axis=1)[:, None]
 
 
 def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
@@ -275,15 +261,14 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
     The sweep evaluates every row of ``sample_su2(config)`` but generates
     them one kernel block at a time and keeps only the values; the minimum
     row is rebuilt from its index.  The four witness candidates
-    (``_witnesses``) go through the kernel in one call, and ``f_min`` is the
+    (``_gram_witness``) go through the kernel in one call, and ``f_min`` is the
     lower of the two minima, ties to the sweep row.  ``trace_path``
     optionally writes a CSV of (index, n0..n3, fidelity) for the sweep
     phase, the one case that builds the whole sample.
     """
-    parts = device_parts(v)
-    lower_bound = _lower_bound(parts)
+    forms = device_parts(v)
     offset = _offset(config)
-    values = _sweep(parts, offset, config.resolution)
+    values = _sweep(forms, offset, config.resolution)
 
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
@@ -295,9 +280,9 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
     i = int(np.argmin(values))
     f_min = float(values[i])
     worst = _sample_rows(offset, [i])[0]
-    candidates = _witnesses(parts)
+    lower_bound, candidates = _gram_witness(forms, _det_form(v))
     # four rows: never the one-row BLAS path (see kernels)
-    witness_values = fidelity_from_bloch_batch(parts, candidates)
+    witness_values = fidelity_from_bloch_batch(forms, candidates)
     j = int(np.argmin(witness_values))
     if witness_values[j] < f_min:
         f_min, worst = float(witness_values[j]), candidates[j]

@@ -7,6 +7,7 @@ import numpy as np
 
 from progchan import (
     PAULI,
+    bloch_to_matrix,
     canonical_gate,
     haar_unitary,
     kron,
@@ -50,11 +51,20 @@ def is_unitary(m, tol):
     return np.max(np.abs(m.conj().T @ m - np.eye(len(m)))) <= tol
 
 
+def bloch_parts(v):
+    """K_mu = S(B_mu, V) with S(n) = sum_mu n_mu K_mu, through ``s_operator``, not kernels.py.
+
+    B_mu = bloch_to_matrix(e_mu) is I, iX, iY or iZ, and S is linear in U.
+    """
+    return np.array([s_operator(bloch_to_matrix(e), v) for e in np.eye(4)])
+
+
 def einsum_fidelity_batch(parts, ns):
     """The scan kernel's earlier complex-einsum formula, kept as its reference.
 
-    S(n) = sum_mu n_mu K_mu by einsum, then the top eigenvalue of S^dag S
-    over 4 from the 2x2 closed form.
+    ``parts`` are the K_mu (``bloch_parts``).  S(n) = sum_mu n_mu K_mu by
+    einsum, then the top eigenvalue of S^dag S over 4 from the 2x2 closed
+    form.
     """
     s = np.einsum("nm,mjl->njl", np.asarray(ns, dtype=float), np.asarray(parts, dtype=complex))
     h00 = np.abs(s[:, 0, 0]) ** 2 + np.abs(s[:, 1, 0]) ** 2
@@ -191,11 +201,12 @@ def sigma_dominance_loop(u, v, n, seed=0):
 
 
 def gram_forms(parts):
-    """(Q, D) with ||S(n)||_F^2 = n^T Q n and det S(n) = n^T D n, for parts from device_parts().
+    """(Q, D) with ||S(n)||_F^2 = n^T Q n and det S(n) = n^T D n, for the K_mu of ``bloch_parts``.
 
-    The references for ``oracle._gram`` (one matmul) and ``oracle._det_form``
-    (products of entries): Q by einsum, and D by polarizing the determinant,
-    D_mu,nu = (det(K_mu + K_nu) - det K_mu - det K_nu) / 2, with np.linalg.det.
+    The references for ``device_parts(v)[0]`` (one matmul) and
+    ``oracle._det_form`` (products of entries): Q by einsum, and D by
+    polarizing the determinant, D_mu,nu = (det(K_mu + K_nu) - det K_mu -
+    det K_nu) / 2, with np.linalg.det.
     """
     parts = np.asarray(parts, dtype=complex)
     q = np.einsum("mab,nab->mn", np.conj(parts), parts).real
@@ -211,7 +222,7 @@ def witness_candidates(parts):
     is E_k c for the top eigenvector c of Re(e^{-i phi} E_k^T D E_k), at the
     first of ``oracle.WITNESS_ANGLES`` angles on [0, pi) with the largest top
     eigenvalue; at k = 1 that is the lowest eigenvector, up to sign.  Q and
-    D come from ``gram_forms``.
+    D come from ``gram_forms`` of the K_mu (``bloch_parts``).
     """
     q, d = gram_forms(parts)
     vecs = np.linalg.eigh(q)[1]
@@ -238,13 +249,13 @@ def materialized_scan(v, config):
     ties to the sweep row.  Returns (f_min, worst Bloch point, evaluations,
     sweep minimum).
     """
-    parts = device_parts(v)
+    forms = device_parts(v)
     points = sample_su2(config)
-    values = fidelity_from_bloch_batch(parts, points)
+    values = fidelity_from_bloch_batch(forms, points)
     best = int(np.argmin(values))
     f_min, worst = float(values[best]), points[best]
-    candidates = witness_candidates(parts)
-    witness = fidelity_from_bloch_batch(parts, candidates)
+    candidates = witness_candidates(bloch_parts(v))
+    witness = fidelity_from_bloch_batch(forms, candidates)
     j = int(np.argmin(witness))
     if witness[j] < f_min:
         f_min, worst = float(witness[j]), candidates[j]

@@ -402,6 +402,24 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "argv",
+        [
+            ("worst-case", "--v", "v_id", "--out", "DIR"),
+            ("oracle", "--v", "v_id", "--resolution", "200", "--csv", "DIR"),
+            ("scan", "--alpha-grid", "2", "--out", "DIR"),
+            ("worst-case", "--v", "v_id", "--out", "UNDER_FILE"),
+        ],
+        ids=["worst-case-out-dir", "oracle-csv-dir", "scan-out-dir", "out-under-file"],
+    )
+    def test_unwritable_output(self, files, capsys, argv):
+        # a directory, or a path below a regular file, cannot be written
+        paths = {"v_id": files["v_id"], "DIR": files["tmp"], "UNDER_FILE": files["v_id"] / "out.json"}
+        code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
         [("program", "--v", "I4"), ("fidelity", "--u", "I2", "--v", "I4")],
         ids=["program", "fidelity"],
     )

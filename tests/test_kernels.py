@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import einsum_fidelity_batch
+from helpers import ADVERSARIAL_ALPHAS, adversarial_devices, bloch_parts, einsum_fidelity_batch
 from progchan import (
+    PAULI,
     ScanConfig,
     bloch_to_matrix,
     canonical_gate,
     haar_unitary,
+    minimax_scan,
     optimal_interaction,
     s_operator,
     sample_su2,
@@ -107,13 +109,14 @@ def test_kernel_matches_einsum_reference(name):
     points = sample_su2(ScanConfig(resolution=100_000, seed=3))
     got = np.empty(len(points))
     _scan_py.fidelity_batch(parts, points, got)
-    np.testing.assert_allclose(got, einsum_fidelity_batch(parts, points), rtol=0, atol=KERNEL_ATOL)
-    # polish-sized batches take the same kernel
+    kraus = bloch_parts(v)
+    np.testing.assert_allclose(got, einsum_fidelity_batch(kraus, points), rtol=0, atol=KERNEL_ATOL)
+    # witness-sized batches take the same kernel
     for size in (1, 4, 12):
         batch = points[1000 : 1000 + size]
         np.testing.assert_allclose(
             fidelity_from_bloch_batch(parts, batch),
-            einsum_fidelity_batch(parts, batch),
+            einsum_fidelity_batch(kraus, batch),
             rtol=0,
             atol=KERNEL_ATOL,
         )
@@ -126,13 +129,14 @@ def test_kernel_independent_of_layout():
     want = np.empty(50)
     _scan_py.fidelity_batch(parts, pts, want)
 
-    wide = np.zeros((4, 2, 4), dtype=complex)
+    wide = np.zeros((4, 4, 8))
     wide[:, :, ::2] = parts
     spread = np.zeros((50, 8))
     spread[:, ::2] = pts
-    # C order, a strided last axis, Fortran order, and each 2x2 block transposed in memory
-    blocks_t = parts.swapaxes(1, 2).copy().swapaxes(1, 2)
-    layouts_parts = [parts, wide[:, :, ::2], np.asfortranarray(parts), blocks_t]
+    # the forms in C order, Fortran order, with a strided last axis, and
+    # each form transposed in memory
+    forms_t = parts.swapaxes(1, 2).copy().swapaxes(1, 2)
+    layouts_parts = [parts, np.asfortranarray(parts), wide[:, :, ::2], forms_t]
     # C order, strided columns, Fortran order, and negative row strides
     layouts_ns = [pts, spread[:, ::2], np.asfortranarray(pts), pts[::-1].copy()[::-1]]
     for p in layouts_parts:
@@ -168,3 +172,46 @@ def test_kernel_split_invariant():
     rows = rng.choice(n, size=200, replace=False)
     single = [fidelity_from_bloch(parts, pts[i]) for i in rows]
     np.testing.assert_allclose(single, want[rows], rtol=0, atol=KERNEL_ATOL)
+
+
+class TestForms:
+    """The device's real quadratic forms, against S(n) built by ``s_operator``."""
+
+    @staticmethod
+    def devices():
+        rng = np.random.default_rng(8)
+        devices = [haar_unitary(4, rng) for _ in range(20)] + adversarial_devices(rng, 1)
+        devices += [canonical_gate(alpha) for alpha in ADVERSARIAL_ALPHAS.values()]
+        return devices + [optimal_interaction(1, -1), np.eye(4, dtype=complex), gate_matrix(cnot())]
+
+    def test_forms_give_pauli_components_of_s_dag_s(self):
+        rng = np.random.default_rng(9)
+        for v in self.devices():
+            forms = device_parts(v)
+            assert forms.shape == (4, 4, 4) and forms.dtype == np.float64
+            for n in random_points(rng, 5):
+                s = s_operator(bloch_to_matrix(n), v)
+                h = s.conj().T @ s
+                want = [np.trace(p @ h).real for p in PAULI]
+                np.testing.assert_allclose([n @ q @ n for q in forms], want, rtol=0, atol=1e-14)
+
+    def test_trace_of_gram_form(self):
+        # tr Q_0 = sum_mu ||K_mu||_F^2 = 8 for a unitary device, to a few ulps
+        # of 8: a dressed device is a product of five rounded unitaries
+        for v in self.devices():
+            assert abs(np.trace(device_parts(v)[0]) - 8) <= 16 * np.spacing(8.0)
+
+    def test_s_dag_s_scalar_at_witness(self):
+        # at the scan's witness f meets lambda_min(Q_0)/8, so the Pauli
+        # components of S^dag S vanish: S^dag S is a multiple of I.  The
+        # witness is the lowest eigenvector of Q_0, whose rounding grows as
+        # 1/gap for the gap to the next eigenvalue: on 1000 Haar devices
+        # |h| reached 6.5e-14 but |h| * gap stayed below 2.1e-15
+        rng = np.random.default_rng(10)
+        for k in range(100):
+            v = haar_unitary(4, rng)
+            forms = device_parts(v)
+            n = minimax_scan(v, ScanConfig(resolution=1000, seed=k)).worst_bloch
+            spectrum = np.linalg.eigvalsh(forms[0])
+            h = np.linalg.norm([n @ q @ n for q in forms[1:]])
+            assert h * (spectrum[1] - spectrum[0]) <= 1e-14

@@ -8,6 +8,7 @@ from helpers import (
     ADVERSARIAL_ALPHAS,
     ADVERSARIAL_SCALES,
     adversarial_devices,
+    bloch_parts,
     dressed,
     gram_forms,
     materialized_scan,
@@ -37,6 +38,16 @@ from progchan import (
 from progchan import oracle
 from progchan.kernels import device_parts, fidelity_from_bloch_batch
 from progchan.oracle import _ALPHAS, AXIS_POINTS, _random_densities
+
+
+def lower_bound(v):
+    """The scan's lower_bound for the device v, without the sweep."""
+    return oracle._gram_witness(device_parts(v), oracle._det_form(v))[0]
+
+
+def witnesses(v):
+    """The scan's four witness candidates for the device v."""
+    return oracle._gram_witness(device_parts(v), oracle._det_form(v))[1]
 
 
 def assert_matches_materialized(v, config):
@@ -263,6 +274,13 @@ class TestStreamedSweep:
             got = oracle._sample_rows(offset, rows)
             assert got.flags.c_contiguous
             np.testing.assert_array_equal(got, full[rows])
+        # the sweep's blocks give sample_su2's bits at a block and one row,
+        # two blocks and two rows (no lone last row), and many blocks
+        for resolution in (4097, 8194, 100_000):
+            whole = sample_su2(ScanConfig(resolution=resolution, seed=seed))
+            bounds = oracle._scan_py.block_bounds(resolution)
+            blocked = np.concatenate([oracle._sample_rows(offset, np.arange(a, b)) for a, b in bounds])
+            np.testing.assert_array_equal(blocked, whole)
 
     def test_peak_memory_independent_of_sample(self):
         v = canonical_gate([0.3, 0.2, 0.1])
@@ -304,7 +322,7 @@ class TestLowerBound:
         for k, v in enumerate(devices):
             parts = device_parts(v)
             values = oracle._sweep(parts, oracle._offset(ScanConfig(seed=k)), 4105)
-            assert values.min() >= oracle._lower_bound(parts) - 1e-15
+            assert values.min() >= lower_bound(v) - 1e-15
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(51)
@@ -313,7 +331,7 @@ class TestLowerBound:
         devices += adversarial_devices(rng, 3)
         devices += [dressed(alpha, rng) for alpha in itertools.product(grid, repeat=3)]
         for v in devices:
-            bound = oracle._lower_bound(device_parts(v))
+            bound = lower_bound(v)
             assert abs(bound - worst_case_fidelity(v).fidelity) <= 1e-14
 
     def test_dressed_devices_match_reference(self):
@@ -333,8 +351,7 @@ class TestWitness:
 
     @staticmethod
     def witness_gap(v):
-        parts = device_parts(v)
-        values = fidelity_from_bloch_batch(parts, oracle._witnesses(parts))
+        values = fidelity_from_bloch_batch(device_parts(v), witnesses(v))
         return values.min() - worst_case_fidelity(v).fidelity
 
     @staticmethod
@@ -391,26 +408,27 @@ class TestWitness:
         devices = [v for vs in self.exact_sets(rng).values() for v in vs] + self.perturbed(rng, 1)
         for v in devices:
             parts = device_parts(v)
-            candidates = oracle._witnesses(parts)
+            candidates = witnesses(v)
             np.testing.assert_allclose(np.linalg.norm(candidates, axis=1), 1.0, rtol=0, atol=1e-15)
             values = fidelity_from_bloch_batch(parts, candidates)
-            assert values.min() >= oracle._lower_bound(parts) - 1e-15
+            assert values.min() >= lower_bound(v) - 1e-15
 
     def test_forms_match_second_route(self):
         rng = np.random.default_rng(64)
         devices = [haar_unitary(4, rng) for _ in range(50)] + adversarial_devices(rng, 1)
         for v in devices:
-            parts = device_parts(v)
+            parts = bloch_parts(v)
             q, d = gram_forms(parts)
+            det_form, gram = oracle._det_form(v), device_parts(v)[0]
             # a few ulps of the largest entry (|D| reaches ~3.6): det's LU
             # route rounds apart from the entry products
-            np.testing.assert_allclose(oracle._det_form(parts), d, rtol=0, atol=2e-15 * np.abs(d).max())
-            np.testing.assert_allclose(oracle._gram(parts), q, rtol=0, atol=2e-15 * np.abs(q).max())
+            np.testing.assert_allclose(det_form, d, rtol=0, atol=2e-15 * np.abs(d).max())
+            np.testing.assert_allclose(gram, q, rtol=0, atol=2e-15 * np.abs(q).max())
             for _ in range(3):
                 n = rng.normal(size=4)
                 s = np.einsum("m,mab->ab", n, parts)
-                assert abs(n @ oracle._det_form(parts) @ n - np.linalg.det(s)) <= 1e-14
-                assert abs(n @ oracle._gram(parts) @ n - np.sum(np.abs(s) ** 2)) <= 1e-14
+                assert abs(n @ det_form @ n - np.linalg.det(s)) <= 1e-14
+                assert abs(n @ gram @ n - np.sum(np.abs(s) ** 2)) <= 1e-14
 
     def test_candidates_match_serial_construction(self):
         # a stacked eigensolve over the angle grid against one angle at a time,
@@ -420,8 +438,8 @@ class TestWitness:
         rng = np.random.default_rng(65)
         for v in (v for devices in self.exact_sets(rng).values() for v in devices):
             parts = device_parts(v)
-            ours = fidelity_from_bloch_batch(parts, oracle._witnesses(parts))
-            theirs = fidelity_from_bloch_batch(parts, witness_candidates(parts))
+            ours = fidelity_from_bloch_batch(parts, witnesses(v))
+            theirs = fidelity_from_bloch_batch(parts, witness_candidates(bloch_parts(v)))
             # both meet F to the gap bound; rounding in Q alone moves them ~1e-14 apart
             assert abs(ours.min() - theirs.min()) <= 1e-13
 
