@@ -316,6 +316,55 @@ class TestPrinterBytes:
         )
         assert re.fullmatch(pattern, out)
 
+    # the oracle verb's JSON at the default seed and sigma samples; the float
+    # literals round-trip, so comparing against json.dumps pins every byte
+    ORACLE_GOLDENS = {
+        "haar4": {
+            "f_min": 0.08537284596249917,
+            "gap_to_closed_form": 1.6653345369377348e-16,
+            "lower_bound": 0.08537284596249911,
+            "sigma_dominance_max": 0.08537284596249917,
+            "worst_bloch": [-0.4739740137489787, -0.49413769781006034, 0.21508134529251519, -0.6963595226611168],
+        },
+        "optimal": {
+            "f_min": 0.2499999999999999,
+            "gap_to_closed_form": -5.551115123125783e-17,
+            "lower_bound": 0.2499999999999999,
+            "sigma_dominance_max": 0.25,
+            "worst_bloch": [0.0, 1.0, 0.0, 0.0],
+        },
+        "i4": {
+            "f_min": 0.0,
+            "gap_to_closed_form": 0.0,
+            "lower_bound": 0.0,
+            "sigma_dominance_max": 0.0,
+            "worst_bloch": [0.0, 1.0, 0.0, 0.0],
+        },
+    }
+
+    @staticmethod
+    def ci_haar4():
+        """The seeded Haar device the CI workflow writes as haar4.json."""
+        g = np.random.default_rng(7).normal(size=(2, 4, 4))
+        q, r = np.linalg.qr(g[0] + 1j * g[1])
+        d = np.diag(r)
+        return q * (d / abs(d))
+
+    @pytest.mark.parametrize("resolution", [10_000, 100_000])
+    @pytest.mark.parametrize("device", ["haar4", "optimal", "i4"])
+    def test_oracle_verb(self, files, capsys, monkeypatch, device, resolution):
+        monkeypatch.delenv("PROGCHAN_SEED", raising=False)
+        v = {"haar4": self.ci_haar4, "optimal": lambda: optimal_interaction(1, 1), "i4": lambda: np.eye(4)}
+        path = files["tmp"] / f"{device}.json"
+        write_matrix(v[device](), path)
+        code, out, _ = run(capsys, "oracle", "--v", path, "--resolution", resolution)
+        assert code == 0
+        expected = dict(
+            self.ORACLE_GOLDENS[device],
+            evaluations=resolution + 4, refine_steps=0, resolution=resolution, seed=0,
+        )
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
 
 class TestErrors:
     def test_missing_file(self, files, capsys):
