@@ -2,10 +2,13 @@
 
 The inner maximization over program states is analytic (top eigenvalue of
 S^dag S), so the only approximation is the discretization of the target
-group: a seeded low-discrepancy sweep of S^3.  The Gram matrix Q_0 among
-the device's forms (``kernels.device_parts``) gives a proven lower bound
-and a witness point that attains it, so the scan also evaluates that
-witness and reports the lower of the two minima.
+group: a seeded low-discrepancy sweep of S^3.  The sweep never builds its
+points: each period of the rotation table folds its rotation into the
+device's forms, and the points' monomials come from one fixed table
+(``_sweep``).  The Gram matrix Q_0 among the device's forms
+(``kernels.device_parts``) gives a proven lower bound and a witness point
+that attains it, so the scan also evaluates that witness and reports the
+lower of the two minima.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 from . import _scan_py, kernels
 from .channels import program_overlap
 from .errors import ContractError
-# fidelity_from_bloch is unused here but stays bound: perfbench/tracing.py
-# rebinds the kernel entry points in this module by name.
+# device_parts and fidelity_from_bloch are unused here but stay bound:
+# perfbench/tracing.py rebinds the kernel entry points in this module by name.
 from .kernels import device_parts, fidelity_from_bloch, fidelity_from_bloch_batch  # noqa: F401
 from .minimax import worst_case_fidelity
 
@@ -37,6 +40,12 @@ _ALPHAS = np.array([1.0 / _PHI3, 1.0 / _PHI3**2, 1.0 / _PHI3**3])
 # The angles of sequence index k come from a table of 2**_TABLE_BITS
 # rotations, indexed by k's low bits, times one rotation per period.
 _TABLE_BITS = 12
+# The sweep's monomials tau_mu tau_nu (mu <= nu) of a table entry, grouped by
+# the weight that n_mu n_nu puts on them at u: azimuth pairs 1 - u, cross
+# pairs sqrt(u (1 - u)), polar pairs u (``_sweep``).
+_MU = np.array([0, 0, 1, 0, 0, 1, 1, 2, 2, 3])
+_NU = np.array([0, 1, 1, 2, 3, 2, 3, 2, 3, 3])
+_WEIGHT_ROWS = (slice(0, 3), slice(3, 7), slice(7, 10))
 
 # Size of the angle grid on [0, pi) over which the witness search maximizes
 # |det S| (``_gram_witness``).  Grids of 4 to 91 angles give the same witness
@@ -74,8 +83,10 @@ class ScanResult:
     """Outcome of ``minimax_scan``.
 
     ``lower_bound`` is lambda_min(Q)/8, below which no kernel value can lie
-    (``_gram_witness``).  ``evaluations`` is the number of objective values
-    the scan computes: every sweep point and the four witness candidates.
+    (``_gram_witness``).  ``evaluations`` is the number of sample rows and
+    witness candidates the scan evaluates: every sweep point and the four
+    candidates.  The kernel's second look at the sweep's best row is not
+    counted.
     """
 
     f_min: float
@@ -133,6 +144,48 @@ def _rotation_table() -> np.ndarray:
     return table
 
 
+@functools.cache
+def _monomial_table() -> np.ndarray:
+    """Read-only (10, 4096) table of the unit monomials tau_mu tau_nu (``_MU``, ``_NU``).
+
+    tau_j is the (Re, Im) pair of both ``_rotation_table`` entries at j, a
+    unit vector in each plane.  Built on first use, the same object on every
+    call.
+    """
+    tau = _rotation_table().view(float).T
+    table = np.empty((len(_MU), tau.shape[1]))
+    # row by row: gathering tau[_MU] and tau[_NU] whole would triple the peak memory
+    for row, mu, nu in zip(table, _MU, _NU):
+        np.multiply(tau[mu], tau[nu], out=row)
+    table.setflags(write=False)
+    return table
+
+
+def _period_angles(offset: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """b = 2 pi frac(offset_m + alpha_m 4096 q) for each period q, shape (len(periods), 2).
+
+    Sequence index k = 4096 q + j turns the table's entry at j by -b
+    (``_sequence_points``).
+    """
+    turns = _ALPHAS[1:] * (periods << _TABLE_BITS)[:, None]
+    turns += offset[1:]
+    turns -= np.floor(turns)  # frac()
+    turns *= 2 * np.pi
+    return turns
+
+
+def _radial_coordinate(k: np.ndarray, offset: np.ndarray, scratch=None) -> np.ndarray:
+    """u_k = frac(offset_0 + alpha_0 k), written over float(k) in k.
+
+    scratch, if given, takes floor().  frac() is exact for the non-negative
+    arguments of k >= 1.
+    """
+    k *= _ALPHAS[0]
+    k += offset[0]
+    k -= np.floor(k, out=scratch)
+    return k
+
+
 def _sequence_points(offset: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Sequence points at the indices k, row-major, shape (len(k), 4).
 
@@ -153,19 +206,13 @@ def _sequence_points(offset: np.ndarray, k: np.ndarray) -> np.ndarray:
     np.take(_rotation_table(), k, axis=0, out=rotations, mode="wrap")
     periods = k >> _TABLE_BITS
     first = int(periods.min())
-    turns = _ALPHAS[1:] * (np.arange(first, int(periods.max()) + 1) << _TABLE_BITS)[:, None]
-    turns += offset[1:]
-    turns -= np.floor(turns)  # frac()
-    turns *= 2 * np.pi
+    turns = _period_angles(offset, np.arange(first, int(periods.max()) + 1))
     bases = np.empty(turns.shape, dtype=complex)
     bases.real = np.cos(turns)
     bases.imag = -np.sin(turns)
     periods -= first
     rotations *= np.take(bases, periods, axis=0)
-    u = k.astype(float)
-    u *= _ALPHAS[0]
-    u += offset[0]
-    u -= np.floor(u)  # frac(), exact for the non-negative arguments of k >= 1
+    u = _radial_coordinate(k.astype(float), offset)
     radii = np.empty((len(k), 2))  # low, high
     np.subtract(1.0, u, out=radii[:, 0])
     radii[:, 1] = u
@@ -199,31 +246,79 @@ def sample_su2(config: ScanConfig) -> np.ndarray:
     The sequence points follow the axis points (``_sequence_points``).  With
     a fixed seed the sample is prefix-nested: raising the resolution only
     appends points.  ``minimax_scan`` never builds this array unless asked
-    for a trace; it streams the same rows block by block.
+    for a trace; its sweep evaluates the same points without building them.
     """
     return _sample_rows(_offset(config), np.arange(config.resolution))
 
 
+def _period_coefficients(forms, offset: np.ndarray, periods: int) -> np.ndarray:
+    """The forms in each period's coordinates, packed: (periods, 4, 10) coefficients.
+
+    Sequence point k = 4096 q + j is W_k R_q tau_j: tau_j from the table
+    (``_monomial_table``), R_q = diag(M_azim, M_polar) the real form of the
+    period's rotations cos b - i sin b (``_sequence_points``), M = [[cos b,
+    sin b], [-sin b, cos b]], and W_k = diag(r_low, r_low, r_high, r_high).
+    W_k commutes with R_q, so h_a = tau_j^T W_k (R_q^T Q_a R_q) W_k tau_j:
+    period q reads the forms R_q^T Q_a R_q, one stacked product for all.
+    """
+    turns = _period_angles(offset, np.arange(periods))
+    cos, sin = np.cos(turns), np.sin(turns)
+    rotations = np.zeros((periods, 4, 4))
+    rotations[:, (0, 2), (0, 2)] = rotations[:, (1, 3), (1, 3)] = cos
+    rotations[:, (0, 2), (1, 3)] = sin
+    rotations[:, (1, 3), (0, 2)] = -sin
+    turned = rotations.transpose(0, 2, 1)[:, None] @ forms @ rotations[:, None]
+    return _scan_py.pack(turned, _MU, _NU)
+
+
 def _sweep(forms, offset: np.ndarray, n: int) -> np.ndarray:
-    """The kernel's value at each of the first n sample rows, bit for bit as on ``sample_su2``.
+    """The objective at each of the first n > 8 sample rows, within 2e-15 of the kernel's.
 
-    The rows are generated and evaluated one kernel block at a time
-    (``_scan_py.block_bounds``), so only one block of points exists at once.
+    The kernel's values are those at the rows of ``sample_su2``, and the
+    axis rows go through the kernel as one batch.  The sequence points are
+    never built: point k = 4096 q + j takes the table's unit monomials at j,
+    each scaled by the weight W_k puts on it (1 - u, sqrt(u (1 - u)) or u,
+    with u_k as in ``_sequence_points``), against period q's coefficients
+    (``_period_coefficients``).  Each period is one block, so the table is
+    read in slices, and every block reuses the same buffers.  A lone last
+    point is computed with its successor, as the kernel would (see
+    kernels), so no value depends on n.
     """
-    values = np.empty(n)
-    for start, stop in _scan_py.block_bounds(n):
-        rows = _sample_rows(offset, np.arange(start, stop))
-        values[start:stop] = fidelity_from_bloch_batch(forms, rows)
-    return values
+    values = np.empty(n + 1)  # room for a lone last point's successor
+    n_axis = len(AXIS_POINTS)
+    values[:n_axis] = fidelity_from_bloch_batch(forms, AXIS_POINTS)
+    last = n - n_axis  # sequence indices 1..last
+    size = 1 << _TABLE_BITS
+    table, ramp = _monomial_table(), np.arange(size, dtype=float)
+    monomials, scratch = np.empty(10 * size), np.empty(4 * size)
+    for q, coeffs in enumerate(_period_coefficients(forms, offset, (last >> _TABLE_BITS) + 1)):
+        base = q << _TABLE_BITS
+        lo = max(1 - base, 0)  # j of this period's points: lo, ..., at most 4095
+        m = max(min(last + 1 - base, size) - lo, 2)
+        hi = lo + m
+        w_low, w_cross, w_high = scratch[:m], scratch[m : 2 * m], scratch[2 * m : 3 * m]
+        np.add(ramp[lo:hi], base, out=w_high)  # float(k), exactly
+        _radial_coordinate(w_high, offset, scratch=w_low)
+        np.subtract(1.0, w_high, out=w_low)
+        np.multiply(w_high, w_low, out=w_cross)
+        np.sqrt(w_cross, out=w_cross)
+        block = monomials[: 10 * m].reshape(10, m)
+        for rows, weight in zip(_WEIGHT_ROWS, (w_low, w_cross, w_high)):
+            np.multiply(table[rows, lo:hi], weight, out=block[rows])
+        start = base + lo + n_axis - 1  # the row of index k = base + lo
+        # the weights are spent, so h_a overwrites them
+        hs = np.matmul(coeffs, block, out=scratch[: 4 * m].reshape(4, m))
+        _scan_py.fidelity_tail(hs, values[start : start + m])
+    return values[:n]
 
 
-def _det_form(v) -> np.ndarray:
-    """D, complex symmetric, with det S(n) = n^T D n, for a validated joint unitary v.
+def _det_form(parts) -> np.ndarray:
+    """D, complex symmetric, with det S(n) = n^T D n, for the K_mu of ``kernels._bloch_parts``.
 
-    With K_mu = [[a, b], [c, d]] (``kernels._bloch_parts``), D_mu,nu =
-    (a_mu d_nu + d_mu a_nu - b_mu c_nu - c_mu b_nu) / 2.
+    With K_mu = [[a, b], [c, d]], D_mu,nu = (a_mu d_nu + d_mu a_nu - b_mu
+    c_nu - c_mu b_nu) / 2.
     """
-    a, b, c, d = kernels._bloch_parts(v).reshape(4, 4).T
+    a, b, c, d = parts.reshape(4, 4).T
     det = np.outer(a, d) - np.outer(b, c)
     return 0.5 * (det + det.T)
 
@@ -258,15 +353,16 @@ def _gram_witness(forms, det_form) -> tuple[float, np.ndarray]:
 def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
     """Sweep the target group for the worst fidelity, then try the Gram witness.
 
-    The sweep evaluates every row of ``sample_su2(config)`` but generates
-    them one kernel block at a time and keeps only the values; the minimum
-    row is rebuilt from its index.  The four witness candidates
-    (``_gram_witness``) go through the kernel in one call, and ``f_min`` is the
-    lower of the two minima, ties to the sweep row.  ``trace_path``
-    optionally writes a CSV of (index, n0..n3, fidelity) for the sweep
-    phase, the one case that builds the whole sample.
+    The sweep (``_sweep``) evaluates every row of ``sample_su2(config)``
+    without building the rows and keeps only the values.  Its best row is
+    rebuilt from its index and goes through the kernel in one call with the
+    four witness candidates (``_gram_witness``), so ``f_min`` is the
+    kernel's value at ``worst_bloch``: the lowest of the five, ties to the
+    sweep row.  ``trace_path`` optionally writes a CSV of (index, n0..n3,
+    fidelity) for the sweep phase, the one case that builds the whole
+    sample; its fidelity column holds the sweep's values.
     """
-    forms = device_parts(v)
+    parts, forms = kernels._parts_and_forms(v)
     offset = _offset(config)
     values = _sweep(forms, offset, config.resolution)
 
@@ -277,20 +373,17 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
             for i, (p, f) in enumerate(zip(sample_su2(config), values)):
                 writer.writerow([i, *(repr(float(x)) for x in (*p, f))])
 
-    i = int(np.argmin(values))
-    f_min = float(values[i])
-    worst = _sample_rows(offset, [i])[0]
-    lower_bound, candidates = _gram_witness(forms, _det_form(v))
-    # four rows: never the one-row BLAS path (see kernels)
-    witness_values = fidelity_from_bloch_batch(forms, candidates)
-    j = int(np.argmin(witness_values))
-    if witness_values[j] < f_min:
-        f_min, worst = float(witness_values[j]), candidates[j]
+    lower_bound, candidates = _gram_witness(forms, _det_form(parts))
+    points = np.concatenate([_sample_rows(offset, [int(np.argmin(values))]), candidates])
+    # five rows: never the one-row BLAS path (see kernels)
+    point_values = fidelity_from_bloch_batch(forms, points)
+    best = int(np.argmin(point_values))
+    f_min = float(point_values[best])
 
     reference = worst_case_fidelity(v).fidelity
     return ScanResult(
         f_min=f_min,
-        worst_bloch=worst,
+        worst_bloch=points[best],
         gap_to_closed_form=f_min - reference,
         evaluations=len(values) + len(candidates),
         lower_bound=lower_bound,

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (
     ADVERSARIAL_ALPHAS,
     ADVERSARIAL_SCALES,
@@ -35,33 +37,45 @@ from progchan import (
     sigma_dominance_check,
     worst_case_fidelity,
 )
-from progchan import oracle
+from progchan import kernels, oracle
 from progchan.kernels import device_parts, fidelity_from_bloch_batch
 from progchan.oracle import _ALPHAS, AXIS_POINTS, _random_densities
 
 
+# the sweep reads each point off the rotation table's coordinates, so it
+# rounds apart from the kernel on the built rows by a few ulps of f
+SWEEP_ATOL = 2e-15
+
+
+def gram_witness(v):
+    """The scan's (lower_bound, witness candidates) for the device v, without the sweep."""
+    parts, forms = kernels._parts_and_forms(v)
+    return oracle._gram_witness(forms, oracle._det_form(parts))
+
+
 def lower_bound(v):
     """The scan's lower_bound for the device v, without the sweep."""
-    return oracle._gram_witness(device_parts(v), oracle._det_form(v))[0]
+    return gram_witness(v)[0]
 
 
 def witnesses(v):
     """The scan's four witness candidates for the device v."""
-    return oracle._gram_witness(device_parts(v), oracle._det_form(v))[1]
+    return gram_witness(v)[1]
 
 
 def assert_matches_materialized(v, config):
     """minimax_scan against ``materialized_scan``; returns the result and the sweep minimum.
 
     The reference builds Q and D by other routes, so the witness values may
-    round apart, within the gap bound; the sweep values are bit for bit the
-    same.
+    round apart, within the gap bound.  The scan picks its row by the sweep's
+    values, each within SWEEP_ATOL of the kernel's, so where the objective is
+    flat to rounding it may pick another row, at most 2 SWEEP_ATOL higher.
     """
     result = minimax_scan(v, config)
     f_min, worst, evaluations, sweep_min = materialized_scan(v, config)
     assert result.evaluations == evaluations == config.resolution + 4
     assert abs(result.f_min - f_min) <= 1e-13
-    assert result.f_min <= sweep_min
+    assert result.f_min <= sweep_min + 2 * SWEEP_ATOL
     # the reported point attains f_min (batches of 2+ rows round alike)
     parts = device_parts(v)
     again = fidelity_from_bloch_batch(parts, np.array([result.worst_bloch] * 2))
@@ -144,6 +158,18 @@ class TestSampleSU2:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0
+
+    def test_monomial_table_shared_and_read_only(self):
+        table = oracle._monomial_table()
+        assert table is oracle._monomial_table()
+        assert table.shape == (10, 4096) and table.dtype == float
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+        # the products tau_mu tau_nu of each entry's (Re, Im) parts, grouped by weight
+        tau = oracle._rotation_table().view(float)
+        pairs = [(0, 0), (0, 1), (1, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+        np.testing.assert_array_equal(table, [tau[:, mu] * tau[:, nu] for mu, nu in pairs])
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
@@ -237,12 +263,35 @@ class TestStreamedSweep:
     RESOLUTIONS = (100, 4096, 4097, 4098, 2 * 4096 + 1, 4104, 4105, 4106, 2 * 4096 + 9, 100_000)
 
     @pytest.mark.parametrize("seed", [0, 3, 17])
-    def test_sweep_equals_full_sample(self, seed):
-        parts = device_parts(haar_unitary(4, np.random.default_rng(seed)))
-        for resolution in self.RESOLUTIONS:
-            config = ScanConfig(resolution=resolution, seed=seed)
-            streamed = oracle._sweep(parts, oracle._offset(config), resolution)
-            np.testing.assert_array_equal(streamed, fidelity_from_bloch_batch(parts, sample_su2(config)))
+    def test_sweep_matches_full_sample(self, seed):
+        rng = np.random.default_rng(seed)
+        devices = [haar_unitary(4, rng), canonical_gate(random_chamber_alpha(rng))]
+        devices += [canonical_gate(alpha) for alpha in ADVERSARIAL_ALPHAS.values()]
+        offset = oracle._offset(ScanConfig(seed=seed))
+        for v in devices:
+            parts = device_parts(v)
+            longest = oracle._sweep(parts, offset, max(self.RESOLUTIONS))
+            for resolution in self.RESOLUTIONS:
+                swept = oracle._sweep(parts, offset, resolution)
+                sample = sample_su2(ScanConfig(resolution=resolution, seed=seed))
+                want = fidelity_from_bloch_batch(parts, sample)
+                np.testing.assert_allclose(swept, want, rtol=0, atol=SWEEP_ATOL)
+                # the axis rows go through the kernel
+                np.testing.assert_array_equal(swept[: len(AXIS_POINTS)], want[: len(AXIS_POINTS)])
+                # no value depends on n, not even a lone last point's (4104 rows)
+                np.testing.assert_array_equal(swept, longest[:resolution])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_sweep_above_bound_and_f_min_is_kernel_value(self, device_seed, seed):
+        v = haar_unitary(4, np.random.default_rng(device_seed))
+        config = ScanConfig(resolution=4105, seed=seed)
+        parts = device_parts(v)
+        result = minimax_scan(v, config)
+        values = oracle._sweep(parts, oracle._offset(config), config.resolution)
+        assert values.min() >= result.lower_bound - 1e-15
+        again = fidelity_from_bloch_batch(parts, [result.worst_bloch] * 2)
+        np.testing.assert_array_equal(again, [result.f_min] * 2)
 
     @pytest.mark.parametrize("seed", [0, 5, 11])
     def test_rows_rebuilt_from_index(self, seed):
@@ -267,14 +316,14 @@ class TestStreamedSweep:
             [7],
             [8199, 4103, 4102, 8200, 8],
         ]
-        # blocks as the sweep asks for them, and ones across the axis rows
+        # kernel-sized blocks, and ones across the axis rows
         for start, stop in ((0, 3), (2, 8), (5, 4101), (8, 9), (4096, 8192), (99_999, 100_000)):
             index_sets.append(np.arange(start, stop))
         for rows in index_sets:
             got = oracle._sample_rows(offset, rows)
             assert got.flags.c_contiguous
             np.testing.assert_array_equal(got, full[rows])
-        # the sweep's blocks give sample_su2's bits at a block and one row,
+        # the kernel's blocks give sample_su2's bits at a block and one row,
         # two blocks and two rows (no lone last row), and many blocks
         for resolution in (4097, 8194, 100_000):
             whole = sample_su2(ScanConfig(resolution=resolution, seed=seed))
@@ -419,7 +468,7 @@ class TestWitness:
         for v in devices:
             parts = bloch_parts(v)
             q, d = gram_forms(parts)
-            det_form, gram = oracle._det_form(v), device_parts(v)[0]
+            det_form, gram = oracle._det_form(kernels._bloch_parts(v)), device_parts(v)[0]
             # a few ulps of the largest entry (|D| reaches ~3.6): det's LU
             # route rounds apart from the entry products
             np.testing.assert_allclose(det_form, d, rtol=0, atol=2e-15 * np.abs(d).max())
@@ -444,22 +493,27 @@ class TestWitness:
             assert abs(ours.min() - theirs.min()) <= 1e-13
 
     def test_one_witness_call(self, monkeypatch):
-        rows = []
+        batches = []
 
         def spy(parts, ns):
-            rows.append(len(ns))
+            batches.append(np.array(ns))
             return fidelity_from_bloch_batch(parts, ns)
 
         monkeypatch.setattr(oracle, "fidelity_from_bloch_batch", spy)
         rng = np.random.default_rng(66)
         for v in (haar_unitary(4, rng), optimal_interaction(1, 1)):
             for resolution in (100, 4100, 10_000):
-                rows.clear()
-                result = minimax_scan(v, ScanConfig(resolution=resolution, seed=1))
-                assert result.evaluations == resolution + 4 == sum(rows)
-                # the sweep's blocks, then one 4-row witness batch
-                blocks = [stop - start for start, stop in oracle._scan_py.block_bounds(resolution)]
-                assert rows == blocks + [4]
+                config = ScanConfig(resolution=resolution, seed=1)
+                values = oracle._sweep(device_parts(v), oracle._offset(config), resolution)
+                batches.clear()
+                result = minimax_scan(v, config)
+                assert result.evaluations == resolution + 4
+                # the 8 axis rows, then the sweep's best row with the 4 witness candidates
+                axis, points = batches
+                np.testing.assert_array_equal(axis, AXIS_POINTS)
+                np.testing.assert_array_equal(points[0], sample_su2(config)[np.argmin(values)])
+                np.testing.assert_array_equal(points[1:], witnesses(v))
+
 
 class TestSigmaDominance:
     def test_identity_everything(self):
