@@ -1,19 +1,18 @@
 """Entry points to the scan inner loop, ``_scan_py.fidelity_batch``.
 
 The device enters the scan as four real quadratic forms (``device_parts``),
-off which the kernel reads the fidelity a block of 4096 points at a time.
+off which the kernel reads the fidelity of a whole batch in one product.
 The oracle calls it for the 8 axis points and for one batch of the sweep's
 best row and the 4 witness candidates; its sweep reads the same forms in
 the rotation table's coordinates instead (``oracle._sweep``).
 ``perfbench/run.py --trace 1`` times it layer by layer.
 
 A point's value does not depend on the batch around it, with one exception:
-a batch of a single row.  numpy computes its (4, 10) x (10, 1) product on a
-different BLAS path, which can round the last bit differently (up to
-2.2e-16 in f).  Any split of a batch into pieces of two or more rows gives
-bit-identical values, which is why the kernel never leaves a lone row at
-the end of its last block (``_scan_py.block_bounds``).  The oracle's
-batches have 8 and 5 rows, so they never take that path either.
+a batch of a single row (``fidelity_from_bloch``).  numpy computes its
+(4, 10) x (10, 1) product on a different BLAS path, which can round the
+last bit differently (up to 2.2e-16 in f).  Any split of a batch into
+pieces of two or more rows gives bit-identical values; the oracle's
+batches have 8 and 5 rows, so they never take the one-row path.
 """
 
 from __future__ import annotations

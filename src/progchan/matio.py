@@ -7,6 +7,7 @@ row-major order, with n restricted to 2 or 4.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,12 @@ def obj_to_matrix(obj) -> np.ndarray:
         raise MatrixFormatError(f"matrix rows must be numbers of shape {shape}: {exc}") from exc
     if pairs.shape != shape:
         raise MatrixFormatError(f"matrix rows must have shape {shape}, got {pairs.shape}")
+    # float() also reads "1" and true; a JSON number is an int, a float or null
+    entries = chain.from_iterable(chain.from_iterable(obj["rows"]))
+    if not {str, bool}.isdisjoint(map(type, entries)):
+        raise MatrixFormatError(
+            f"matrix rows must be numbers of shape {shape}, not strings or booleans"
+        )
     return pairs.view(complex)[..., 0]
 
 

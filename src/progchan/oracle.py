@@ -281,8 +281,9 @@ def _sweep(forms, offset: np.ndarray, n: int) -> np.ndarray:
     with u_k as in ``_sequence_points``), against period q's coefficients
     (``_period_coefficients``).  Each period is one block, so the table is
     read in slices, and every block reuses the same buffers.  A lone last
-    point is computed with its successor, as the kernel would (see
-    kernels), so no value depends on n.
+    point is computed with its successor: alone, it would make the period's
+    product a matrix-vector one, which can round differently (see kernels),
+    so no value depends on n.
     """
     values = np.empty(n + 1)  # room for a lone last point's successor
     n_axis = len(AXIS_POINTS)

@@ -433,6 +433,17 @@ class TestErrors:
         assert "Traceback" not in err
         assert ("(4, 4, 2)" in err) or ("dim must be 2 or 4" in err)
 
+    @pytest.mark.parametrize("entry", ['"1"', "true"], ids=["string", "boolean"])
+    def test_non_number_entry(self, files, capsys, entry):
+        # float() would read either entry as 1.0, and the file as the identity
+        bad = files["tmp"] / "u_entry.json"
+        bad.write_text('{"dim": 2, "rows": [[[%s, 0], [0, 0]], [[0, 0], [1, 0]]]}' % entry)
+        code, out, err = run(capsys, "fidelity", "--u", bad, "--v", files["v_id"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "numbers of shape (2, 2, 2), not strings or booleans" in err
+
     @pytest.mark.parametrize(
         "argv",
         [("program", "--v", "I4"), ("fidelity", "--u", "I2", "--v", "I4")],

@@ -152,26 +152,37 @@ def test_kernel_independent_of_layout():
 
 
 def test_kernel_split_invariant():
-    # two full blocks and a short tail, so splits fall inside and across block edges
-    block = _scan_py._BLOCK
-    n = 2 * block + 3
+    # 2 * 4096 + 3 rows, so that splits fall inside and across rows 4096 and 8192
+    n = 2 * 4096 + 3
     rng = np.random.default_rng(7)
     parts = device_parts(haar_unitary(4, rng))
     pts = random_points(rng, n)
     want = fidelity_from_bloch_batch(parts, pts)
     # distinct even cuts leave pieces of at least two rows
     even_cuts = np.sort(rng.choice(np.arange(2, n - 1, 2), size=40, replace=False))
-    for cuts in ([block - 1, block + 1, 2 * block], [2, block, 2 * block + 1], even_cuts):
+    for cuts in ([4095, 4097, 8192], [2, 4096, 8193], even_cuts):
         got = np.concatenate([fidelity_from_bloch_batch(parts, p) for p in np.split(pts, cuts)])
         np.testing.assert_array_equal(got, want)
-    # one block and one row more: the row must not be left to a batch of its own
-    for start in range(0, n - block - 1, 409):
-        piece = slice(start, start + block + 1)
+    # pieces of 4096 + 1 rows
+    for start in range(0, n - 4097, 409):
+        piece = slice(start, start + 4097)
         np.testing.assert_array_equal(fidelity_from_bloch_batch(parts, pts[piece]), want[piece])
     # a single row takes numpy's vector-matrix product, which may round differently
     rows = rng.choice(n, size=200, replace=False)
     single = [fidelity_from_bloch(parts, pts[i]) for i in rows]
     np.testing.assert_allclose(single, want[rows], rtol=0, atol=KERNEL_ATOL)
+
+
+def test_one_call_equals_4096_row_calls():
+    # a 200k-row batch is one product, and gives the bits of 4096-row batches
+    rng = np.random.default_rng(12)
+    points = sample_su2(ScanConfig(resolution=200_000, seed=12))
+    for v in (haar_unitary(4, rng), optimal_interaction(1, 1)):
+        parts = device_parts(v)
+        got = np.empty(len(points))
+        _scan_py.fidelity_batch(parts, points, got)
+        pieces = [fidelity_from_bloch_batch(parts, points[a : a + 4096]) for a in range(0, 200_000, 4096)]
+        np.testing.assert_array_equal(got, np.concatenate(pieces))
 
 
 class TestForms:

@@ -64,6 +64,12 @@ def test_bad_entry():
         [[[1, 0], [0, [0]]], [[0, 0], [1, 0]]],
         [[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]],  # no float holds a 400-digit integer
         [[[1, 0], [0, 0]], [[0, 0], [1, -(10**400)]]],
+        # float() reads numeric strings and booleans, but JSON numbers are neither
+        [[["1", 0], [0, 0]], [[0, 0], [1, 0]]],
+        [[[1, 0], [0, 0]], [[0, 0], [1, "-0.0"]]],
+        [[[True, 0], [0, 0]], [[0, 0], [1, 0]]],
+        [[[1, 0], [0, False]], [[0, 0], [1, 0]]],
+        [[[True, False], [False, False]], [[False, False], [True, False]]],
         "rows",
     ]
     for rows in cases:

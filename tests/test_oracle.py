@@ -258,8 +258,8 @@ class TestMinimaxScan:
 
 
 class TestStreamedSweep:
-    # sample rows around the kernel's block boundaries (4096 rows; a lone last
-    # row joins the block before it), and sequence lengths of 4096 + a few
+    # sample sizes around the rotation table's 4096-point periods: 4104 rows
+    # leave a lone point in the last period, and sequence lengths of 4096 + a few
     RESOLUTIONS = (100, 4096, 4097, 4098, 2 * 4096 + 1, 4104, 4105, 4106, 2 * 4096 + 9, 100_000)
 
     @pytest.mark.parametrize("seed", [0, 3, 17])
@@ -316,18 +316,22 @@ class TestStreamedSweep:
             [7],
             [8199, 4103, 4102, 8200, 8],
         ]
-        # kernel-sized blocks, and ones across the axis rows
+        # 4096-row ranges, and ones across the axis rows
         for start, stop in ((0, 3), (2, 8), (5, 4101), (8, 9), (4096, 8192), (99_999, 100_000)):
             index_sets.append(np.arange(start, stop))
         for rows in index_sets:
             got = oracle._sample_rows(offset, rows)
             assert got.flags.c_contiguous
             np.testing.assert_array_equal(got, full[rows])
-        # the kernel's blocks give sample_su2's bits at a block and one row,
-        # two blocks and two rows (no lone last row), and many blocks
-        for resolution in (4097, 8194, 100_000):
+        # pieces of 4096 rows give sample_su2's bits at 4096 rows and one more,
+        # two pieces and two rows (no lone last row), and many pieces
+        pieces = {
+            4097: [(0, 4097)],
+            8194: [(0, 4096), (4096, 8194)],
+            100_000: [(a, min(a + 4096, 100_000)) for a in range(0, 100_000, 4096)],
+        }
+        for resolution, bounds in pieces.items():
             whole = sample_su2(ScanConfig(resolution=resolution, seed=seed))
-            bounds = oracle._scan_py.block_bounds(resolution)
             blocked = np.concatenate([oracle._sample_rows(offset, np.arange(a, b)) for a, b in bounds])
             np.testing.assert_array_equal(blocked, whole)
 
