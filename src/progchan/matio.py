@@ -37,9 +37,10 @@ def obj_to_matrix(obj) -> np.ndarray:
         raise MatrixFormatError(f"matrix rows must be numbers of shape {shape}: {exc}") from exc
     if pairs.shape != shape:
         raise MatrixFormatError(f"matrix rows must have shape {shape}, got {pairs.shape}")
-    # float() also reads "1" and true; a JSON number is an int, a float or null
+    # float() also reads "1" and true; a JSON number is an int, a float or
+    # null, and the entries of a numpy array are np.str_ (a str) or np.bool_
     entries = chain.from_iterable(chain.from_iterable(obj["rows"]))
-    if not {str, bool}.isdisjoint(map(type, entries)):
+    if any(isinstance(x, (str, bool, np.bool_)) for x in entries):
         raise MatrixFormatError(
             f"matrix rows must be numbers of shape {shape}, not strings or booleans"
         )

@@ -5,7 +5,10 @@ S^dag S), so the only approximation is the discretization of the target
 group: a seeded low-discrepancy sweep of S^3.  The sweep never builds its
 points: each period of the rotation table folds its rotation into the
 device's forms, and the points' monomials come from one fixed table
-(``_sweep``).  The Gram matrix Q_0 among the device's forms
+(``_sweep``).  It keeps a running minimum, not a value per point, so a
+scan's memory does not grow with its resolution beyond ~1 KB of
+coefficients per 4096 points; only a ``--csv`` trace holds the whole
+sample.  The Gram matrix Q_0 among the device's forms
 (``kernels.device_parts``) gives a proven lower bound and a witness point
 that attains it, so the scan also evaluates that witness and reports the
 lower of the two minima.
@@ -84,9 +87,9 @@ class ScanResult:
 
     ``lower_bound`` is lambda_min(Q)/8, below which no kernel value can lie
     (``_gram_witness``).  ``evaluations`` is the number of sample rows and
-    witness candidates the scan evaluates: every sweep point and the four
-    candidates.  The kernel's second look at the sweep's best row is not
-    counted.
+    witness candidates the scan evaluates, ``resolution + 4``: every sweep
+    point and the four candidates.  The kernel's second look at the sweep's
+    best row is not counted.
     """
 
     f_min: float
@@ -108,7 +111,10 @@ def _random_densities(rng, n: int) -> np.ndarray:
     """n mixed qubit states, each the partial trace of a Haar-random two-qubit pure state.
 
     One draw of shape (n, 2, 4) consumes the generator exactly as n
-    single-state draws (real parts, then imaginary parts) would.
+    single-state draws (real parts, then imaginary parts) would.  With psi
+    read as the 2x2 matrix psi_ij (i the kept qubit), Tr_2 |psi><psi| is
+    psi psi^dag, formed as its two terms j = 0, 1 and never through the
+    4x4 projector.
     """
     gauss = rng.normal(size=(n, 2, 4))
     psi = gauss[:, 0] + 1j * gauss[:, 1]
@@ -117,8 +123,12 @@ def _random_densities(rng, n: int) -> np.ndarray:
     # exactly as a per-state normalisation would
     re, im = psi.real[:, None, :], psi.imag[:, None, :]
     psi /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
-    joint = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(n, 2, 2, 2, 2)
-    return np.einsum("nijkj->nik", joint)
+    psi = psi.reshape(n, 2, 2)
+    conj = psi.conj()
+    # ascending j, the order in which a partial trace of the 4x4 projector sums them
+    rho = psi[:, :, None, 0] * conj[:, None, :, 0]
+    rho += psi[:, :, None, 1] * conj[:, None, :, 1]
+    return rho
 
 
 def random_density(rng) -> np.ndarray:
@@ -271,31 +281,38 @@ def _period_coefficients(forms, offset: np.ndarray, periods: int) -> np.ndarray:
     return _scan_py.pack(turned, _MU, _NU)
 
 
-def _sweep(forms, offset: np.ndarray, n: int) -> np.ndarray:
-    """The objective at each of the first n > 8 sample rows, within 2e-15 of the kernel's.
+def _sweep(forms, offset: np.ndarray, n: int, values=None) -> int:
+    """The row of the least objective value among the first n > 8 sample rows.
 
-    The kernel's values are those at the rows of ``sample_su2``, and the
-    axis rows go through the kernel as one batch.  The sequence points are
-    never built: point k = 4096 q + j takes the table's unit monomials at j,
-    each scaled by the weight W_k puts on it (1 - u, sqrt(u (1 - u)) or u,
-    with u_k as in ``_sequence_points``), against period q's coefficients
+    Ties go to the lower row, so the row is ``np.argmin`` of the values;
+    if ``values`` is an array of n, it also receives every value, each
+    within 2e-15 of the kernel's at that row of ``sample_su2``.  The axis
+    rows go through the kernel as one batch.  The sequence points are never
+    built: point k = 4096 q + j takes the table's unit monomials at j, each
+    scaled by the weight W_k puts on it (1 - u, sqrt(u (1 - u)) or u, with
+    u_k as in ``_sequence_points``), against period q's coefficients
     (``_period_coefficients``).  Each period is one block, so the table is
-    read in slices, and every block reuses the same buffers.  A lone last
-    point is computed with its successor: alone, it would make the period's
-    product a matrix-vector one, which can round differently (see kernels),
-    so no value depends on n.
+    read in slices; every block reuses the same buffers, and only the
+    running minimum outlives it, so the sweep holds O(4096) values whatever
+    n is.  A lone last point is computed with its successor: alone, it
+    would make the period's product a matrix-vector one, which can round
+    differently (see kernels), so no value depends on n.
     """
-    values = np.empty(n + 1)  # room for a lone last point's successor
     n_axis = len(AXIS_POINTS)
-    values[:n_axis] = fidelity_from_bloch_batch(forms, AXIS_POINTS)
+    axis_values = fidelity_from_bloch_batch(forms, AXIS_POINTS)
+    if values is not None:
+        values[:n_axis] = axis_values
+    best_row = int(axis_values.argmin())
+    best = axis_values[best_row]
     last = n - n_axis  # sequence indices 1..last
     size = 1 << _TABLE_BITS
     table, ramp = _monomial_table(), np.arange(size, dtype=float)
-    monomials, scratch = np.empty(10 * size), np.empty(4 * size)
+    monomials, scratch, block_values = np.empty(10 * size), np.empty(4 * size), np.empty(size)
     for q, coeffs in enumerate(_period_coefficients(forms, offset, (last >> _TABLE_BITS) + 1)):
         base = q << _TABLE_BITS
         lo = max(1 - base, 0)  # j of this period's points: lo, ..., at most 4095
-        m = max(min(last + 1 - base, size) - lo, 2)
+        count = min(last + 1 - base, size) - lo
+        m = max(count, 2)
         hi = lo + m
         w_low, w_cross, w_high = scratch[:m], scratch[m : 2 * m], scratch[2 * m : 3 * m]
         np.add(ramp[lo:hi], base, out=w_high)  # float(k), exactly
@@ -309,8 +326,13 @@ def _sweep(forms, offset: np.ndarray, n: int) -> np.ndarray:
         start = base + lo + n_axis - 1  # the row of index k = base + lo
         # the weights are spent, so h_a overwrites them
         hs = np.matmul(coeffs, block, out=scratch[: 4 * m].reshape(4, m))
-        _scan_py.fidelity_tail(hs, values[start : start + m])
-    return values[:n]
+        found = _scan_py.fidelity_tail(hs, block_values[:m])[:count]
+        if values is not None:
+            values[start : start + count] = found
+        j = int(found.argmin())
+        if found[j] < best:
+            best, best_row = found[j], start + j
+    return best_row
 
 
 def _det_form(parts) -> np.ndarray:
@@ -355,17 +377,19 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
     """Sweep the target group for the worst fidelity, then try the Gram witness.
 
     The sweep (``_sweep``) evaluates every row of ``sample_su2(config)``
-    without building the rows and keeps only the values.  Its best row is
-    rebuilt from its index and goes through the kernel in one call with the
-    four witness candidates (``_gram_witness``), so ``f_min`` is the
-    kernel's value at ``worst_bloch``: the lowest of the five, ties to the
-    sweep row.  ``trace_path`` optionally writes a CSV of (index, n0..n3,
-    fidelity) for the sweep phase, the one case that builds the whole
-    sample; its fidelity column holds the sweep's values.
+    without building the rows and keeps only the index of the lowest.  That
+    row is rebuilt from its index and goes through the kernel in one call
+    with the four witness candidates (``_gram_witness``), so ``f_min`` is
+    the kernel's value at ``worst_bloch``: the lowest of the five, ties to
+    the sweep row.  ``trace_path`` optionally writes a CSV of (index,
+    n0..n3, fidelity) for the sweep phase, the one case whose memory grows
+    with the resolution: it builds the whole sample and keeps every sweep
+    value, which its fidelity column holds.
     """
     parts, forms = kernels._parts_and_forms(v)
     offset = _offset(config)
-    values = _sweep(forms, offset, config.resolution)
+    values = None if trace_path is None else np.empty(config.resolution)
+    best_row = _sweep(forms, offset, config.resolution, values)
 
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
@@ -375,7 +399,7 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
                 writer.writerow([i, *(repr(float(x)) for x in (*p, f))])
 
     lower_bound, candidates = _gram_witness(forms, _det_form(parts))
-    points = np.concatenate([_sample_rows(offset, [int(np.argmin(values))]), candidates])
+    points = np.concatenate([_sample_rows(offset, [best_row]), candidates])
     # five rows: never the one-row BLAS path (see kernels)
     point_values = fidelity_from_bloch_batch(forms, points)
     best = int(np.argmin(point_values))
@@ -386,7 +410,7 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
         f_min=f_min,
         worst_bloch=points[best],
         gap_to_closed_form=f_min - reference,
-        evaluations=len(values) + len(candidates),
+        evaluations=config.resolution + len(candidates),
         lower_bound=lower_bound,
     )
 

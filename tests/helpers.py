@@ -200,6 +200,26 @@ def sigma_dominance_loop(u, v, n, seed=0):
     return top
 
 
+def projector_densities(rng, n):
+    """``oracle._random_densities`` through the 4x4 projector, kept as its reference.
+
+    Draws as the oracle does, then partial-traces |psi><psi| by einsum.
+    """
+    gauss = rng.normal(size=(n, 2, 4))
+    psi = gauss[:, 0] + 1j * gauss[:, 1]
+    re, im = psi.real[:, None, :], psi.imag[:, None, :]
+    psi /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+    joint = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(n, 2, 2, 2, 2)
+    return np.einsum("nijkj->nik", joint)
+
+
+def sweep_values(forms, offset, n):
+    """The oracle sweep's value at each of the first n sample rows, as a ``--csv`` trace gets them."""
+    values = np.full(n, np.nan)
+    oracle._sweep(forms, offset, n, values)
+    return values
+
+
 def gram_forms(parts):
     """(Q, D) with ||S(n)||_F^2 = n^T Q n and det S(n) = n^T D n, for the K_mu of ``bloch_parts``.
 

@@ -70,6 +70,9 @@ def test_bad_entry():
         [[[True, 0], [0, 0]], [[0, 0], [1, 0]]],
         [[[1, 0], [0, False]], [[0, 0], [1, 0]]],
         [[[True, False], [False, False]], [[False, False], [True, False]]],
+        # a numpy array's entries are np.str_ and np.bool_, not str and bool
+        np.array([[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]),
+        np.array([[[True, False], [False, False]], [[False, False], [True, False]]]),
         "rows",
     ]
     for rows in cases:

@@ -14,9 +14,11 @@ from helpers import (
     dressed,
     gram_forms,
     materialized_scan,
+    projector_densities,
     random_chamber_alpha,
     random_programs,
     sigma_dominance_loop,
+    sweep_values,
     witness_candidates,
 )
 
@@ -270,9 +272,9 @@ class TestStreamedSweep:
         offset = oracle._offset(ScanConfig(seed=seed))
         for v in devices:
             parts = device_parts(v)
-            longest = oracle._sweep(parts, offset, max(self.RESOLUTIONS))
+            longest = sweep_values(parts, offset, max(self.RESOLUTIONS))
             for resolution in self.RESOLUTIONS:
-                swept = oracle._sweep(parts, offset, resolution)
+                swept = sweep_values(parts, offset, resolution)
                 sample = sample_su2(ScanConfig(resolution=resolution, seed=seed))
                 want = fidelity_from_bloch_batch(parts, sample)
                 np.testing.assert_allclose(swept, want, rtol=0, atol=SWEEP_ATOL)
@@ -288,7 +290,7 @@ class TestStreamedSweep:
         config = ScanConfig(resolution=4105, seed=seed)
         parts = device_parts(v)
         result = minimax_scan(v, config)
-        values = oracle._sweep(parts, oracle._offset(config), config.resolution)
+        values = sweep_values(parts, oracle._offset(config), config.resolution)
         assert values.min() >= result.lower_bound - 1e-15
         again = fidelity_from_bloch_batch(parts, [result.worst_bloch] * 2)
         np.testing.assert_array_equal(again, [result.f_min] * 2)
@@ -335,19 +337,41 @@ class TestStreamedSweep:
             blocked = np.concatenate([oracle._sample_rows(offset, np.arange(a, b)) for a, b in bounds])
             np.testing.assert_array_equal(blocked, whole)
 
-    def test_peak_memory_independent_of_sample(self):
-        v = canonical_gate([0.3, 0.2, 0.1])
-        config = ScanConfig(resolution=200_000, seed=1)
-        minimax_scan(v, ScanConfig(resolution=5000, seed=1))  # warm-up
+    # flat devices, where many rows tie, and Haar ones
+    ARGMIN_DEVICES = (
+        np.eye(4),
+        optimal_interaction(1, 1),
+        np.eye(4)[[0, 2, 1, 3]],  # SWAP
+        *(haar_unitary(4, np.random.default_rng(seed)) for seed in (3, 4)),
+    )
+
+    @pytest.mark.parametrize("resolution", [100, 4104, 4105, 10_000, 100_000])
+    def test_row_is_first_minimum(self, resolution):
+        for k, v in enumerate(self.ARGMIN_DEVICES):
+            forms = device_parts(v)
+            offset = oracle._offset(ScanConfig(seed=k))
+            values = sweep_values(forms, offset, resolution)
+            assert not np.isnan(values).any()
+            # the row np.argmin picks: axis rows first, ties to the lower row
+            assert oracle._sweep(forms, offset, resolution) == np.argmin(values)
+
+    @staticmethod
+    def traced_peak(v, config):
         tracemalloc.start()
         try:
             minimax_scan(v, config)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the values array is 8 B per point; a materialized sample adds 32 B
-        # per point of coordinates and more in temporaries
-        assert peak < 24 * config.resolution + 2_000_000
+
+    def test_peak_memory_independent_of_sample(self):
+        v = canonical_gate([0.3, 0.2, 0.1])
+        minimax_scan(v, ScanConfig(resolution=5000, seed=1))  # warm-up
+        small, large = (self.traced_peak(v, ScanConfig(resolution=n, seed=1)) for n in (100_000, 400_000))
+        # a materialized sample adds 32 B per point of coordinates and more in temporaries
+        assert large < 24 * 400_000 + 2_000_000
+        # no value is kept per point; only the period coefficients grow, ~1 KB per 4096 points
+        assert large - small < 400_000 - 100_000
 
     def test_matches_materialized_scan(self):
         rng = np.random.default_rng(41)
@@ -374,7 +398,7 @@ class TestLowerBound:
         devices += adversarial_devices(rng, 1) + self.canonical_devices(rng)
         for k, v in enumerate(devices):
             parts = device_parts(v)
-            values = oracle._sweep(parts, oracle._offset(ScanConfig(seed=k)), 4105)
+            values = sweep_values(parts, oracle._offset(ScanConfig(seed=k)), 4105)
             assert values.min() >= lower_bound(v) - 1e-15
 
     def test_matches_closed_form(self):
@@ -508,7 +532,7 @@ class TestWitness:
         for v in (haar_unitary(4, rng), optimal_interaction(1, 1)):
             for resolution in (100, 4100, 10_000):
                 config = ScanConfig(resolution=resolution, seed=1)
-                values = oracle._sweep(device_parts(v), oracle._offset(config), resolution)
+                values = sweep_values(device_parts(v), oracle._offset(config), resolution)
                 batches.clear()
                 result = minimax_scan(v, config)
                 assert result.evaluations == resolution + 4
@@ -630,6 +654,14 @@ class TestRandomDensity:
             rho = random_density(rng)
             assert abs(np.trace(rho).real - 1.0) < 1e-12
             assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+    def test_matches_projector_reference(self):
+        for seed in range(100):
+            for n in (1, 2, 7, 1000):
+                got = _random_densities(np.random.default_rng(seed), n)
+                want = projector_densities(np.random.default_rng(seed), n)
+                # bit for bit, signed zeros included
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_batch_is_sequential_stream(self):
         batch = _random_densities(np.random.default_rng(4), 30)
