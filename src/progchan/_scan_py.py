@@ -40,12 +40,12 @@ def fidelity_tail(h: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def fidelity_batch(parts, ns, out):
-    """Fill out[i] with the best-program fidelity at Bloch point ns[i]; parts are the forms."""
-    parts = np.asarray(parts, dtype=float)
+def fidelity_batch(forms, ns, out):
+    """Fill out[i] with the best-program fidelity at Bloch point ns[i], for the device's forms."""
+    forms = np.asarray(forms, dtype=float)
     ns = np.asarray(ns, dtype=float)
-    if parts.shape != (4, 4, 4):
-        raise ValueError("parts must have shape (4, 4, 4)")
+    if forms.shape != (4, 4, 4):
+        raise ValueError("forms must have shape (4, 4, 4)")
     if ns.ndim != 2 or ns.shape[1] != 4:
         raise ValueError("ns must have shape (n, 4)")
     if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != (len(ns),):
@@ -58,4 +58,4 @@ def fidelity_batch(parts, ns, out):
         np.multiply(coords[mu], coords[mu:], out=monomials[row : row + 4 - mu])
     # the product's transpose, (4, 10) x (10, n), so that each h_a is a
     # contiguous row: h_0 (the trace), h_1, h_2, h_3
-    return fidelity_tail(pack(parts, _MU, _NU) @ monomials, out)
+    return fidelity_tail(pack(forms, _MU, _NU) @ monomials, out)

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .errors import ContractError
-from .matops import as_matrix, assert_density, assert_unitary, hermitian_eig, kron, partial_trace
+from .matops import (
+    _is_real, as_matrix, assert_density, assert_unitary, hermitian_eig, kron, partial_trace
+)
 from .minimax import s_operator
 
 #: Choi eigenvalues below this are treated as zero rank
@@ -122,8 +123,7 @@ def program_overlap(u, v, sigma):
 
 def _check_fidelity(f) -> None:
     """ContractError unless f is a real number in [0, 1], up to rounding."""
-    # bool is Real but no fidelity; np.bool_ is not Real
-    if not isinstance(f, Real) or isinstance(f, bool) or not -1e-12 <= f <= 1.0 + 1e-12:
+    if not _is_real(f) or not -1e-12 <= f <= 1.0 + 1e-12:
         raise ContractError(f"fidelity must lie in [0, 1], got {f!r}")
 
 
@@ -137,6 +137,6 @@ def avg_io_fidelity(f: float, d: int) -> float:
     """Input-output fidelity averaged over pure states: (1 + d F) / (d + 1)."""
     _check_fidelity(f)
     # finite first: int() of inf or NaN raises before the comparison could fail
-    if not (isinstance(d, Real) and math.isfinite(d) and d >= 2 and int(d) == d):
+    if not (_is_real(d) and math.isfinite(d) and d >= 2 and int(d) == d):
         raise ContractError(f"dimension must be an integer >= 2, got {d!r}")
     return (1.0 + d * f) / (d + 1.0)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, SynthesisError
-from .matops import assert_unitary, equal_up_to_global_phase
+from .matops import _is_integer, _is_real, assert_unitary, equal_up_to_global_phase
 from .minimax import CanonicalForm, optimal_interaction
 from .pauli import PAULI
 
@@ -44,8 +43,7 @@ class Gate:
         if not isinstance(self.wires, (tuple, list)):
             raise DimensionError(f"wires must be a tuple or list of wire indices, got {self.wires!r}")
         for w in self.wires:
-            # numpy integers are Integral; bool is too, but is no wire
-            if not isinstance(w, Integral) or isinstance(w, bool) or w not in (0, 1):
+            if not _is_integer(w) or w not in (0, 1):
                 raise DimensionError(f"wire index must be 0 or 1, got {w!r}")
         object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
         if self.kind == "cnot":
@@ -55,7 +53,7 @@ class Gate:
             if len(self.wires) != 1 or self.angle is None:
                 raise ContractError(f"{self.kind} needs one wire and an angle")
             angle = self.angle
-            if not isinstance(angle, Real) or isinstance(angle, bool) or not math.isfinite(angle):
+            if not _is_real(angle) or not math.isfinite(angle):
                 raise ContractError(f"{self.kind} angle must be a finite real, got {angle!r}")
             object.__setattr__(self, "angle", float(angle))
         elif self.kind == "local":

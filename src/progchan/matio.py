@@ -50,7 +50,7 @@ def obj_to_matrix(obj) -> np.ndarray:
 def load_matrix(path) -> np.ndarray:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing file, or one that is no UTF-8 text
         raise MatrixFormatError(f"cannot read matrix file {path}: {exc}") from exc
     try:
         obj = json.loads(text)

@@ -3,10 +3,13 @@ package's input contract.
 
 Everything downstream (states, gates, the S operator) lives in C^2 or C^4,
 so the helpers here deliberately reject anything larger.  ``assert_unitary``
-and ``assert_density`` decide shape, unitarity and density for every caller.
+and ``assert_density`` decide shape, unitarity and density for every caller,
+and ``_is_integer`` and ``_is_real`` which scalars count as integers and reals.
 """
 
 from __future__ import annotations
+
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -20,6 +23,16 @@ ALGEBRA_TOL = 1e-12
 DECOMP_TOL = 1e-10
 # no entry of a density matrix has a real or imaginary part this large
 _ENTRY_BOUND = 2.0
+
+
+def _is_integer(x) -> bool:
+    """True for a Python or numpy integer; False for a bool, an np.bool_ or a float."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """True for a Python or numpy integer or float; False for a bool or an np.bool_ (not Real)."""
+    return isinstance(x, Real) and not isinstance(x, bool)
 
 
 def as_matrix(m, name: str = "matrix", dims: tuple = SUPPORTED_DIMS) -> np.ndarray:

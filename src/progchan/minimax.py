@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DecompositionError
-from .matops import assert_unitary, hermitian_eig, kron
+from .matops import _is_real, assert_unitary, hermitian_eig, kron
 from .pauli import (
     PAULI,
     TVector,
@@ -162,8 +162,7 @@ def closed_form_norm(n, t: TVector) -> float:
 
 def optimal_interaction(sx_sign: int, sz_sign: int) -> np.ndarray:
     """exp[i (pi/4) (sx X x X + sz Z x Z)]; every sign pair reaches F(V) = 1/4."""
-    # True == 1, so a bool would pass the membership test
-    if any(isinstance(s, (bool, np.bool_)) or s not in (1, -1) for s in (sx_sign, sz_sign)):
+    if any(not _is_real(s) or s not in (1, -1) for s in (sx_sign, sz_sign)):
         raise ContractError(f"signs must be +1 or -1, got ({sx_sign}, {sz_sign})")
     return canonical_gate([sx_sign * np.pi / 4, 0.0, sz_sign * np.pi / 4])
 

@@ -2,14 +2,12 @@
 
 The inner maximization over program states is analytic (top eigenvalue of
 S^dag S), so the only approximation is the discretization of the target
-group: a seeded low-discrepancy sweep of S^3.  The sweep never builds its
-points: each period of the rotation table folds its rotation into the
-device's forms, and the points' monomials come from one fixed table
-(``_sweep``).  It keeps a running minimum, not a value per point, so a
-scan's memory does not grow with its resolution beyond ~1 KB of
-coefficients per 4096 points; only a ``--csv`` trace holds the whole
-sample.  The Gram matrix Q_0 among the device's forms
-(``kernels.device_parts``) gives a proven lower bound and a witness point
+group: a seeded low-discrepancy sweep of S^3 (``_sweep``).  The sweep builds
+no points and keeps a running minimum, so a scan's memory grows only by ~1 KB
+of coefficients per 4096 points; only a ``--csv`` trace holds the whole
+sample.  The scan sees the device only as the two arrays that
+``kernels._scan_forms`` builds: the real forms Q and the determinant form D.
+Q_0 gives a proven lower bound, and D steers the search for a witness point
 that attains it, so the scan also evaluates that witness and reports the
 lower of the two minima.
 """
@@ -19,7 +17,6 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass, fields
-from numbers import Integral
 
 import numpy as np
 
@@ -29,6 +26,7 @@ from .errors import ContractError
 # device_parts and fidelity_from_bloch are unused here but stay bound:
 # perfbench/tracing.py rebinds the kernel entry points in this module by name.
 from .kernels import device_parts, fidelity_from_bloch, fidelity_from_bloch_batch  # noqa: F401
+from .matops import _is_integer
 from .minimax import worst_case_fidelity
 
 # Signed axis points +-e_j; the closed-form minimum always sits on one of
@@ -59,8 +57,7 @@ WITNESS_ANGLES = 8
 
 def _check_count(name: str, value, lowest: int = 0) -> None:
     """ContractError unless value is an integer count of at least ``lowest``."""
-    # numpy integers are Integral; bool is too, but is no count
-    if not isinstance(value, Integral) or isinstance(value, bool):
+    if not _is_integer(value):
         raise ContractError(f"{name} must be an integer, got {value!r}")
     if value < lowest:
         raise ContractError(f"{name} must be >= {lowest}, got {value}")
@@ -335,17 +332,6 @@ def _sweep(forms, offset: np.ndarray, n: int, values=None) -> int:
     return best_row
 
 
-def _det_form(parts) -> np.ndarray:
-    """D, complex symmetric, with det S(n) = n^T D n, for the K_mu of ``kernels._bloch_parts``.
-
-    With K_mu = [[a, b], [c, d]], D_mu,nu = (a_mu d_nu + d_mu a_nu - b_mu
-    c_nu - c_mu b_nu) / 2.
-    """
-    a, b, c, d = parts.reshape(4, 4).T
-    det = np.outer(a, d) - np.outer(b, c)
-    return 0.5 * (det + det.T)
-
-
 def _gram_witness(forms, det_form) -> tuple[float, np.ndarray]:
     """The bound lambda_min(Q)/8 of Q = forms[0], and four unit Bloch points where f may meet it.
 
@@ -356,7 +342,7 @@ def _gram_witness(forms, det_form) -> tuple[float, np.ndarray]:
 
     f(n) meets it exactly where n lies in the bottom eigenspace E of Q and
     the singular values of S(n) tie, that is, where |det S(n)| = |n^T D n|
-    (``_det_form``) is largest on E (Rayleigh-Ritz).  Row k-1, for k = 1..4,
+    (``kernels._scan_forms``) is largest on E (Rayleigh-Ritz).  Row k-1, for k = 1..4,
     searches the span E_k of the first k eigenvectors: E_k c, where c is the
     top eigenvector of Re(e^{-i phi} E_k^T D E_k) at the grid angle phi whose
     top eigenvalue is largest; row 0 is the lowest eigenvector.  One row per
@@ -386,7 +372,7 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
     with the resolution: it builds the whole sample and keeps every sweep
     value, which its fidelity column holds.
     """
-    parts, forms = kernels._parts_and_forms(v)
+    forms, det_form = kernels._scan_forms(v)
     offset = _offset(config)
     values = None if trace_path is None else np.empty(config.resolution)
     best_row = _sweep(forms, offset, config.resolution, values)
@@ -398,7 +384,7 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
             for i, (p, f) in enumerate(zip(sample_su2(config), values)):
                 writer.writerow([i, *(repr(float(x)) for x in (*p, f))])
 
-    lower_bound, candidates = _gram_witness(forms, _det_form(parts))
+    lower_bound, candidates = _gram_witness(forms, det_form)
     points = np.concatenate([_sample_rows(offset, [best_row]), candidates])
     # five rows: never the one-row BLAS path (see kernels)
     point_values = fidelity_from_bloch_batch(forms, points)

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .matops import assert_unitary
+from .matops import _is_integer, assert_unitary
 
 PAULI = np.array(
     [
@@ -41,8 +40,7 @@ S3_TOL = 1e-12
 
 def pauli(j: int) -> np.ndarray:
     """sigma_0 = I, sigma_1 = X, sigma_2 = Y, sigma_3 = Z."""
-    # numpy integers are Integral; bool is too, but is no index
-    if not isinstance(j, Integral) or isinstance(j, bool) or j not in (0, 1, 2, 3):
+    if not _is_integer(j) or j not in (0, 1, 2, 3):
         raise DimensionError(f"Pauli index must be 0..3, got {j!r}")
     return PAULI[j].copy()
 
@@ -121,8 +119,8 @@ class TVector:
         return np.outer(w, w) * np.sin(dphi) ** 2
 
 
-def hadamard_t(theta) -> TVector:
-    """Map the four eigenphases of a canonical interaction to its t vector.
+def _hadamard_t_raw(theta) -> np.ndarray:
+    """The t vector of ``hadamard_t``, a complex 4-vector whose sum rule and bound go unchecked.
 
     Uses t0 = (1/2) sum_j e^{-i theta_j} and t_j = e^{-i theta_0} +
     e^{-i theta_j} - t0; contracting HADAMARD against e^{-i theta} gives the
@@ -133,8 +131,12 @@ def hadamard_t(theta) -> TVector:
         raise DimensionError(f"phase vector must have 4 components, got {theta.size}")
     z = np.exp(-1j * theta)
     t0 = 0.5 * z.sum()
-    t = np.array([t0, z[0] + z[1] - t0, z[0] + z[2] - t0, z[0] + z[3] - t0])
-    return TVector(t)
+    return np.array([t0, z[0] + z[1] - t0, z[0] + z[2] - t0, z[0] + z[3] - t0])
+
+
+def hadamard_t(theta) -> TVector:
+    """Map the four eigenphases of a canonical interaction to its t vector (``_hadamard_t_raw``)."""
+    return TVector(_hadamard_t_raw(theta))
 
 
 def hadamard_t_contract(theta) -> np.ndarray:

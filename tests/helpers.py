@@ -1,6 +1,8 @@
 """Shared test utilities: independent oracles and random generators."""
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +59,40 @@ def bloch_parts(v):
     B_mu = bloch_to_matrix(e_mu) is I, iX, iY or iZ, and S is linear in U.
     """
     return np.array([s_operator(bloch_to_matrix(e), v) for e in np.eye(4)])
+
+
+def parts_and_forms(v):
+    """(K_mu, Q) for a joint unitary v: K_mu by einsum over v^*, Q by one matmul.
+
+    With ``det_form`` this is the bit-for-bit reference for
+    ``kernels._scan_forms``, which builds both from one validated read of v.
+    """
+    basis = np.concatenate([PAULI[:1], 1j * PAULI[1:]])
+    vc = np.conj(np.asarray(v, dtype=complex)).reshape(2, 2, 2, 2)
+    parts = np.einsum("mab,ajbl->mjl", basis, vc)
+    twisted = (parts @ PAULI[:, None]).reshape(4, 4, 4).transpose(0, 2, 1)
+    return parts, np.ascontiguousarray((parts.reshape(4, 4).conj() @ twisted).real)
+
+
+def det_form(parts):
+    """D with det S(n) = n^T D n, by products of the entries of the K_mu of ``parts_and_forms``.
+
+    With K_mu = [[a, b], [c, d]], D_mu,nu = (a_mu d_nu + d_mu a_nu - b_mu
+    c_nu - c_mu b_nu) / 2.
+    """
+    a, b, c, d = parts.reshape(4, 4).T
+    det = np.outer(a, d) - np.outer(b, c)
+    return 0.5 * (det + det.T)
+
+
+def perfbench_inputs():
+    """The benchmark's seeded input module, ``perfbench/inputs.py`` (numpy only)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def einsum_fidelity_batch(parts, ns):
@@ -223,10 +259,10 @@ def sweep_values(forms, offset, n):
 def gram_forms(parts):
     """(Q, D) with ||S(n)||_F^2 = n^T Q n and det S(n) = n^T D n, for the K_mu of ``bloch_parts``.
 
-    The references for ``device_parts(v)[0]`` (one matmul) and
-    ``oracle._det_form`` (products of entries): Q by einsum, and D by
-    polarizing the determinant, D_mu,nu = (det(K_mu + K_nu) - det K_mu -
-    det K_nu) / 2, with np.linalg.det.
+    Second routes to the Gram form Q_0 and to D of ``kernels._scan_forms(v)``
+    (one matmul; products of entries): Q by einsum, and D by polarizing the
+    determinant, D_mu,nu = (det(K_mu + K_nu) - det K_mu - det K_nu) / 2,
+    with np.linalg.det.
     """
     parts = np.asarray(parts, dtype=complex)
     q = np.einsum("mab,nab->mn", np.conj(parts), parts).real

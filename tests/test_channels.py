@@ -192,6 +192,10 @@ class TestScalarMaps:
         with pytest.raises(ContractError):
             avg_io_fidelity(0.5, 1)
         assert avg_io_fidelity(0.25, 2.0) == 0.5
+        assert avg_io_fidelity(np.float64(0.25), np.int64(2)) == 0.5
+        assert avg_io_fidelity(np.int64(0), np.float64(2.0)) == pytest.approx(1 / 3, abs=1e-15)
+        assert distance(np.float64(0.25)) == distance(0.25)
+        assert distance(np.int64(1)) == 0.0
 
     @pytest.mark.parametrize("f", [True, False, np.True_], ids=["True", "False", "np.True_"])
     def test_bool_fidelity_rejected(self, f):
@@ -200,7 +204,9 @@ class TestScalarMaps:
         with pytest.raises(ContractError, match="^fidelity must lie in"):
             avg_io_fidelity(f, 2)
 
-    @pytest.mark.parametrize("d", [float("inf"), float("-inf"), float("nan"), 2.5, "3"])
+    @pytest.mark.parametrize(
+        "d", [float("inf"), float("-inf"), float("nan"), 2.5, "3", True, np.True_, np.float64(3.5)]
+    )
     def test_avg_io_bad_dimension(self, d):
         with pytest.raises(ContractError, match="^dimension must be an integer >= 2, got "):
             avg_io_fidelity(0.5, d)

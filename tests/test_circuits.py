@@ -57,7 +57,10 @@ class TestGateMatrix:
         with pytest.raises(ContractError):
             cnot(0, 0)
 
-    @pytest.mark.parametrize("wire", [1.9, 1.0, True, False, np.float64(0.0), "1", None])
+    @pytest.mark.parametrize(
+        "wire",
+        [1.9, 1.0, True, False, np.True_, np.False_, np.float64(0.0), "1", None],
+    )
     def test_non_integer_wire_rejected(self, wire):
         with pytest.raises(DimensionError, match="wire index must be 0 or 1"):
             rotation("xrot", wire, 0.3)
@@ -82,7 +85,8 @@ class TestGateMatrix:
         np.testing.assert_array_equal(gate_matrix(gate), gate_matrix(rotation("xrot", 1, 0.3)))
 
     @pytest.mark.parametrize(
-        "angle", [np.nan, np.inf, -np.inf, np.float64("nan"), True, 0.3 + 0j, "0.3", None]
+        "angle",
+        [np.nan, np.inf, -np.inf, np.float64("nan"), True, np.True_, 0.3 + 0j, "0.3", None],
     )
     def test_bad_angle_rejected(self, angle):
         with pytest.raises(ContractError, match="xrot (needs one wire and an angle|angle must be)"):

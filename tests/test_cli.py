@@ -14,6 +14,7 @@ from progchan import (
     pauli,
     random_density,
 )
+from progchan import cli
 from progchan.cli import main
 
 
@@ -172,6 +173,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "hadamard", "--seed", "1")
         assert code == 0
         assert "hadamard/sum-rule" in out
+
+    def test_broken_sum_rule_fails(self, files, capsys, monkeypatch):
+        # a t formula off by a factor 2 breaks |t|^2 summing to 4 and min |t| <= 1;
+        # the suite must report it as failed (1), not as bad input (2)
+        raw = cli._hadamard_t_raw
+        monkeypatch.setattr(cli, "_hadamard_t_raw", lambda theta: 2 * raw(theta))
+        code, out, err = run(capsys, "verify", "--suite", "hadamard", "--seed", "0")
+        assert (code, err) == (1, "")
+        status = {line.split()[0]: line.split()[1] for line in out.splitlines()}
+        assert status == {
+            "hadamard/orthogonality": "pass",
+            "hadamard/sum-rule": "fail",
+            "hadamard/min-bound": "fail",
+            "hadamard/two-route": "fail",
+        }
 
 
 class TestOracleVerb:
@@ -371,6 +387,18 @@ class TestErrors:
         code, _, err = run(capsys, "worst-case", "--v", files["tmp"] / "nope.json")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("name", ["v.npy", "v-utf16.json"])
+    def test_file_not_utf8(self, files, capsys, name):
+        bad = files["tmp"] / name
+        if name.endswith(".npy"):
+            np.save(bad, np.eye(4))
+        else:
+            bad.write_text(json.dumps({"dim": 4, "rows": []}), encoding="utf-16")
+        code, out, err = run(capsys, "worst-case", "--v", bad)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read matrix file {bad}: ") and err.count("\n") == 1
 
     def test_non_unitary_input(self, files, capsys):
         bad = files["tmp"] / "bad.json"

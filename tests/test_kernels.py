@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import ADVERSARIAL_ALPHAS, adversarial_devices, bloch_parts, einsum_fidelity_batch
+from helpers import (
+    ADVERSARIAL_ALPHAS,
+    ADVERSARIAL_SCALES,
+    adversarial_devices,
+    bloch_parts,
+    det_form,
+    dressed,
+    einsum_fidelity_batch,
+    parts_and_forms,
+    perfbench_inputs,
+)
 from progchan import (
     PAULI,
     ScanConfig,
@@ -13,7 +23,7 @@ from progchan import (
     s_operator,
     sample_su2,
 )
-from progchan import _scan_py
+from progchan import _scan_py, kernels
 from progchan.circuits import cnot, gate_matrix
 from progchan.kernels import (
     backend_name,
@@ -226,3 +236,27 @@ class TestForms:
             spectrum = np.linalg.eigvalsh(forms[0])
             h = np.linalg.norm([n @ q @ n for q in forms[1:]])
             assert h * (spectrum[1] - spectrum[0]) <= 1e-14
+
+    @staticmethod
+    def same_bits(a, b):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_scan_forms_match_reference_bit_for_bit(self):
+        # Q and D from one validated read of v, against the route that built
+        # the K_mu once for Q and unpacked their entries again for D
+        inputs = perfbench_inputs()
+        stream = inputs.device_stream(7, inputs.ORACLE_MIX)
+        devices = [next(stream).v for _ in range(200)]
+        # the devices of test_decompose.py::TestAdversarialSet
+        for i, alpha in enumerate(ADVERSARIAL_ALPHAS.values()):
+            rng = np.random.default_rng(i)
+            for scale in ADVERSARIAL_SCALES:
+                devices += [
+                    dressed(np.array(alpha) + scale * rng.uniform(-1, 1, 3), rng) for _ in range(15)
+                ]
+        for v in devices:
+            forms, det = kernels._scan_forms(v)
+            parts, want = parts_and_forms(v)
+            assert self.same_bits(forms, want)
+            assert self.same_bits(device_parts(v), want)
+            assert self.same_bits(det, det_form(parts))

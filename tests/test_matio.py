@@ -97,6 +97,14 @@ def test_unreadable_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(MatrixFormatError):
         load_matrix(bad)
+    # bytes that are no UTF-8 text: a .npy array, a UTF-16 export
+    npy = tmp_path / "v.npy"
+    np.save(npy, np.eye(4))
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_text(json.dumps(matrix_to_obj(np.eye(2))), encoding="utf-16")
+    for path in (npy, utf16):
+        with pytest.raises(MatrixFormatError, match=f"^cannot read matrix file {re.escape(str(path))}: "):
+            load_matrix(path)
 
 
 def test_json_is_stable():

@@ -324,9 +324,16 @@ class TestOptimalInteraction:
         with pytest.raises(ContractError):
             optimal_interaction(0, 1)
 
-    @pytest.mark.parametrize("signs", [(True, 1), (1, True), (False, -1), (np.True_, 1)])
+    def test_numpy_signs_accepted(self):
+        want = optimal_interaction(1, -1)
+        for signs in ((np.int64(1), np.int64(-1)), (np.float64(1.0), -1.0)):
+            np.testing.assert_array_equal(optimal_interaction(*signs), want)
+
+    @pytest.mark.parametrize(
+        "signs", [(True, 1), (1, True), (False, -1), (np.True_, 1), (1 + 0j, 1), (1, -1 + 0j)]
+    )
     def test_bool_signs_rejected(self, signs):
-        # True == 1, yet a bool is no sign
+        # True == 1 and 1 + 0j == 1, yet neither is a sign
         with pytest.raises(ContractError, match=r"^signs must be \+1 or -1, got "):
             optimal_interaction(*signs)
 

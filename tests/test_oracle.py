@@ -51,8 +51,7 @@ SWEEP_ATOL = 2e-15
 
 def gram_witness(v):
     """The scan's (lower_bound, witness candidates) for the device v, without the sweep."""
-    parts, forms = kernels._parts_and_forms(v)
-    return oracle._gram_witness(forms, oracle._det_form(parts))
+    return oracle._gram_witness(*kernels._scan_forms(v))
 
 
 def lower_bound(v):
@@ -188,6 +187,8 @@ class TestSampleSU2:
             ("seed", 2.5),
             ("sigma_samples", "10"),
             ("seed", True),
+            ("seed", np.True_),
+            ("resolution", np.float64(200.0)),
         ]:
             with pytest.raises(ContractError, match=f"{field} must be an integer"):
                 ScanConfig(**{field: value})
@@ -496,7 +497,8 @@ class TestWitness:
         for v in devices:
             parts = bloch_parts(v)
             q, d = gram_forms(parts)
-            det_form, gram = oracle._det_form(kernels._bloch_parts(v)), device_parts(v)[0]
+            forms, det_form = kernels._scan_forms(v)
+            gram = forms[0]
             # a few ulps of the largest entry (|D| reaches ~3.6): det's LU
             # route rounds apart from the entry products
             np.testing.assert_allclose(det_form, d, rtol=0, atol=2e-15 * np.abs(d).max())
@@ -582,9 +584,12 @@ class TestSigmaDominance:
         [
             (2.5, "sample count must be an integer, got 2.5"),
             (True, "sample count must be an integer, got True"),
+            (np.True_, f"sample count must be an integer, got {np.True_!r}"),
+            (np.float64(2.0), f"sample count must be an integer, got {np.float64(2.0)!r}"),
             (-1, "sample count must be >= 0, got -1"),
+            (np.int64(-1), "sample count must be >= 0, got -1"),
         ],
-        ids=["float", "bool", "negative"],
+        ids=["float", "bool", "np.bool_", "np.float64", "negative", "np.int64"],
     )
     def test_bad_sample_count(self, n, message):
         with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
@@ -596,12 +601,20 @@ class TestSigmaDominance:
             (-1, "seed must be >= 0, got -1"),
             (1.5, "seed must be an integer, got 1.5"),
             (True, "seed must be an integer, got True"),
+            (np.True_, f"seed must be an integer, got {np.True_!r}"),
+            (np.float64(1.0), f"seed must be an integer, got {np.float64(1.0)!r}"),
+            (np.int64(-1), "seed must be >= 0, got -1"),
         ],
-        ids=["negative", "float", "bool"],
+        ids=["negative", "float", "bool", "np.bool_", "np.float64", "np.int64"],
     )
     def test_bad_seed(self, seed, message):
         with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
             sigma_dominance_check(np.eye(2), np.eye(4), 10, seed=seed)
+
+    def test_numpy_integer_count_and_seed(self):
+        u, v = pauli(1), optimal_interaction(1, 1)
+        want = sigma_dominance_check(u, v, 10, seed=3)
+        assert sigma_dominance_check(u, v, np.int64(10), seed=np.int64(3)) == want
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ContractError):

@@ -34,7 +34,8 @@ class TestPauli:
         with pytest.raises(DimensionError):
             pauli(4)
         # bool and non-integral indices, even ones equal to a valid index
-        for j in (True, False, 1.0, np.float64(2.0), -1, np.int64(4), "1", None):
+        bad = (True, False, np.True_, np.False_, 1.0, np.float64(2.0), -1, np.int64(4), "1", None)
+        for j in bad:
             with pytest.raises(DimensionError, match="Pauli index must be 0..3"):
                 pauli(j)
         np.testing.assert_array_equal(pauli(np.int64(2)), pauli(2))
