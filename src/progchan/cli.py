@@ -32,6 +32,7 @@ from .minimax import (  # noqa: F401
     worst_case_fidelity,
 )
 from .pauli import HADAMARD, _hadamard_t_raw, bloch_to_matrix, hadamard_t, hadamard_t_contract
+from .pauli import _MIN_BOUND_TOL, _SUM_RULE_TOL
 
 DEFAULT_SEED_ENV = "PROGCHAN_SEED"
 
@@ -196,8 +197,8 @@ def _verify_hadamard_rows(seed: int) -> list:
         worst_route = max(worst_route, float(np.max(np.abs(t - hadamard_t_contract(theta)))))
     return [
         _pass_fail_row("hadamard/orthogonality", ortho, 1e-15),
-        _pass_fail_row("hadamard/sum-rule", worst_sum, 1e-10),
-        _pass_fail_row("hadamard/min-bound", worst_min, 1e-12),
+        _pass_fail_row("hadamard/sum-rule", worst_sum, _SUM_RULE_TOL),
+        _pass_fail_row("hadamard/min-bound", worst_min, _MIN_BOUND_TOL),
         _pass_fail_row("hadamard/two-route", worst_route, 1e-12),
     ]
 

@@ -1,28 +1,31 @@
-"""The scan's device model, and entry points to its inner loop, ``_scan_py.fidelity_batch``.
+"""The scan's device model and its inner loop, vectorized in numpy.
 
-Only this module reads the K_mu of S(n) = sum_mu n_mu K_mu (``_bloch_parts``).
-The scan gets two arrays built from them (``_scan_forms``): the real forms Q
-(``device_parts``), off which the kernel reads a batch's fidelities in one
-product, and the determinant form D, which steers the oracle's witness.  The
-kernel takes the 8 axis points and one batch of the sweep's best row and the
-4 witness candidates; the sweep reads Q in the rotation table's coordinates
-(``oracle._sweep``).
+Only this module reads the K_mu of S(n) = sum_mu n_mu K_mu (``_bloch_parts``);
+the scan gets the real forms Q and the determinant form D built from them
+(``_scan_forms``).  The fidelity at Bloch point n is the top eigenvalue of
+S^dag S over 4, and S^dag S = (h_0 I + sum_a h_a sigma_a) / 2 with h_a =
+n^T Q_a n, so f = (h_0 + |(h_1, h_2, h_3)|) / 8 (``fidelity_tail``).  Each h_a
+is linear in the ten monomials n_mu n_nu (mu <= nu), so one real (4, 10) x
+(10, n) matmul gives all four for a batch (``fidelity_batch``).  The oracle's
+sweep reads its h_a off the same packed coefficients (``pack``), in the
+rotation table's coordinates, and shares the tail; D steers its witness.
 
-A point's value does not depend on the batch around it, with one exception:
-a batch of a single row (``fidelity_from_bloch``).  numpy computes its
-(4, 10) x (10, 1) product on a different BLAS path, which can round the
-last bit differently (up to 2.2e-16 in f).  Any split of a batch into
-pieces of two or more rows gives bit-identical values; the oracle's
-batches have 8 and 5 rows, so they never take the one-row path.
+A point's value does not depend on the batch around it, except in a batch of
+a single row (``fidelity_from_bloch``): numpy computes that (4, 10) x (10, 1)
+product on a different BLAS path, which can round the last bit differently
+(up to 2.2e-16 in f).  Any split into pieces of two or more rows gives
+bit-identical values, and the oracle's batches have 8 and 5 rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _scan_py
 from .matops import assert_unitary
 from .pauli import PAULI
+
+# the kernel's monomials n_mu n_nu, mu <= nu, in np.triu_indices order
+_MU, _NU = np.triu_indices(4)
 
 
 def backend_name() -> str:
@@ -40,11 +43,19 @@ def _bloch_parts(v) -> np.ndarray:
     return np.einsum("mab,ajbl->mjl", basis, vc)
 
 
-def _real_forms(parts) -> np.ndarray:
-    """Q[a, mu, nu] = Re Tr(sigma_a K_mu^dag K_nu) of the K_mu, shape (4, 4, 4)."""
+def _scan_forms(v) -> tuple[np.ndarray, np.ndarray]:
+    """The scan's inputs for a joint unitary v, validated once: Q (``device_parts``) and D.
+
+    D is complex symmetric with det S(n) = n^T D n: for K_mu = [[a, b], [c, d]],
+    D_mu,nu = (a_mu d_nu + d_mu a_nu - b_mu c_nu - c_mu b_nu) / 2.
+    """
+    parts = _bloch_parts(v)
     # Tr(sigma_a K_mu^dag K_nu) sums the entrywise product of K_mu^* and K_nu sigma_a
     twisted = (parts @ PAULI[:, None]).reshape(4, 4, 4).transpose(0, 2, 1)
-    return np.ascontiguousarray((parts.reshape(4, 4).conj() @ twisted).real)
+    forms = np.ascontiguousarray((parts.reshape(4, 4).conj() @ twisted).real)
+    a, b, c, d = parts.reshape(4, 4).T
+    det = np.outer(a, d) - np.outer(b, c)
+    return forms, 0.5 * (det + det.T)
 
 
 def device_parts(v) -> np.ndarray:
@@ -53,25 +64,56 @@ def device_parts(v) -> np.ndarray:
     n^T Q[a] n = Tr(sigma_a S(n)^dag S(n)) for the K_mu of ``_bloch_parts``;
     Q[0] is the Gram matrix of the K_mu.
     """
-    return _real_forms(_bloch_parts(v))
+    return _scan_forms(v)[0]
 
 
-def _scan_forms(v) -> tuple[np.ndarray, np.ndarray]:
-    """The scan's inputs for a joint unitary v, validated once: Q (``device_parts``) and D.
+def pack(forms: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """The coefficients of the monomials n_mu n_nu in n^T F n, for each form F (the last two axes).
 
-    D is complex symmetric with det S(n) = n^T D n: for K_mu = [[a, b], [c, d]],
-    D_mu,nu = (a_mu d_nu + d_mu a_nu - b_mu c_nu - c_mu b_nu) / 2.
+    An off-diagonal monomial stands for two terms, so its coefficient is doubled.
     """
-    parts = _bloch_parts(v)
-    a, b, c, d = parts.reshape(4, 4).T
-    det = np.outer(a, d) - np.outer(b, c)
-    return _real_forms(parts), 0.5 * (det + det.T)
+    return forms[..., mu, nu] * np.where(mu == nu, 1.0, 2.0)
+
+
+def fidelity_tail(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out with (h_0 + sqrt(h_1^2 + h_2^2 + h_3^2)) / 8 from the rows of h, (4, m).
+
+    Works in place: it overwrites h_1..h_3 and allocates nothing.
+    """
+    np.square(h[1:], out=h[1:])
+    np.add(h[1], h[2], out=out)
+    out += h[3]
+    np.sqrt(out, out=out)
+    out += h[0]
+    out /= 8
+    return out
+
+
+def fidelity_batch(forms, ns, out):
+    """Fill out[i] with the best-program fidelity at Bloch point ns[i], for the device's forms."""
+    forms = np.asarray(forms, dtype=float)
+    ns = np.asarray(ns, dtype=float)
+    if forms.shape != (4, 4, 4):
+        raise ValueError("forms must have shape (4, 4, 4)")
+    if ns.ndim != 2 or ns.shape[1] != 4:
+        raise ValueError("ns must have shape (n, 4)")
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != (len(ns),):
+        raise ValueError("out must be a float64 array of shape (n,)")
+    coords = ns.T
+    # n_mu n_nu for mu <= nu in np.triu_indices order, one broadcast product
+    # per mu into rows 0-3, 4-6, 7-8 and 9: no gathered temporaries
+    monomials = np.empty((10, len(ns)))
+    for mu, row in enumerate((0, 4, 7, 9)):
+        np.multiply(coords[mu], coords[mu:], out=monomials[row : row + 4 - mu])
+    # the product's transpose, (4, 10) x (10, n), so that each h_a is a
+    # contiguous row: h_0 (the trace), h_1, h_2, h_3
+    return fidelity_tail(pack(forms, _MU, _NU) @ monomials, out)
 
 
 def fidelity_from_bloch_batch(forms, ns) -> np.ndarray:
     """Best-program fidelity at each Bloch point; forms from device_parts()."""
     ns = np.atleast_2d(np.asarray(ns, dtype=float))
-    return _scan_py.fidelity_batch(forms, ns, np.empty(len(ns)))
+    return fidelity_batch(forms, ns, np.empty(len(ns)))
 
 
 def fidelity_from_bloch(forms, n) -> float:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MatrixFormatError
-from .matops import SUPPORTED_DIMS
+from .matops import SUPPORTED_DIMS, _is_integer
 
 
 def matrix_to_obj(m) -> dict:
@@ -28,7 +28,7 @@ def obj_to_matrix(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "rows" not in obj:
         raise MatrixFormatError("matrix object must have 'dim' and 'rows' keys")
     dim = obj["dim"]
-    if type(dim) is not int or dim not in SUPPORTED_DIMS:
+    if not _is_integer(dim) or dim not in SUPPORTED_DIMS:
         raise MatrixFormatError(f"matrix dim must be 2 or 4, got {dim!r}")
     shape = (dim, dim, 2)  # dim rows of dim [re, im] pairs
     try:

@@ -44,6 +44,9 @@ DECOMPOSE_RESIDUAL_TOL = 1e-9
 _PIVOT_WEIGHTS = (0.0, 0.5, 0.37358190278130243, 1.2074808325964797)
 _PIVOT_OFFDIAG_TOL = 1e-11
 
+# alpha_1 this close to pi/4 is on the quarter face, and may end up above it by as much
+_QUARTER_FACE_TOL = 1e-12
+
 #: max entrywise gap between the two routes of the covariance rule
 COVARIANCE_TOL = 1e-12
 
@@ -249,8 +252,8 @@ def _factor_local_pair(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _ChamberReducer:
-    """Moves alpha into pi/4 >= alpha_1 >= alpha_2 >= |alpha_3| while
-    compensating every move in the surrounding local unitaries."""
+    """Moves alpha into pi/4 >= alpha_1 >= alpha_2 >= |alpha_3| (alpha_3 >= 0 at alpha_1 = pi/4)
+    while compensating every move in the surrounding local unitaries."""
 
     def __init__(self, alpha, w1, w2, w3, w4):
         self.alpha = np.asarray(alpha, dtype=float).copy()
@@ -296,6 +299,10 @@ class _ChamberReducer:
             self._flip(0, 2)
         if self.alpha[1] < 0:
             self._flip(1, 2)
+        # (pi/4, a2, a3) and (pi/4, a2, -a3) are one class: take a3 >= 0
+        if np.pi / 4 - self.alpha[0] <= _QUARTER_FACE_TOL and self.alpha[2] < 0:
+            self._shift(0, -1)
+            self._flip(0, 2)
         return self
 
 

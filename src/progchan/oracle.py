@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import _scan_py, kernels
+from . import kernels
 from .channels import program_overlap
 from .errors import ContractError
 # device_parts and fidelity_from_bloch are unused here but stay bound:
@@ -44,8 +44,8 @@ _TABLE_BITS = 12
 # The sweep's monomials tau_mu tau_nu (mu <= nu) of a table entry, grouped by
 # the weight that n_mu n_nu puts on them at u: azimuth pairs 1 - u, cross
 # pairs sqrt(u (1 - u)), polar pairs u (``_sweep``).
-_MU = np.array([0, 0, 1, 0, 0, 1, 1, 2, 2, 3])
-_NU = np.array([0, 1, 1, 2, 3, 2, 3, 2, 3, 3])
+_SWEEP_MU = np.array([0, 0, 1, 0, 0, 1, 1, 2, 2, 3])
+_SWEEP_NU = np.array([0, 1, 1, 2, 3, 2, 3, 2, 3, 3])
 _WEIGHT_ROWS = (slice(0, 3), slice(3, 7), slice(7, 10))
 
 # Size of the angle grid on [0, pi) over which the witness search maximizes
@@ -153,16 +153,16 @@ def _rotation_table() -> np.ndarray:
 
 @functools.cache
 def _monomial_table() -> np.ndarray:
-    """Read-only (10, 4096) table of the unit monomials tau_mu tau_nu (``_MU``, ``_NU``).
+    """Read-only (10, 4096) table of the unit monomials tau_mu tau_nu (``_SWEEP_MU/NU``).
 
     tau_j is the (Re, Im) pair of both ``_rotation_table`` entries at j, a
     unit vector in each plane.  Built on first use, the same object on every
     call.
     """
     tau = _rotation_table().view(float).T
-    table = np.empty((len(_MU), tau.shape[1]))
-    # row by row: gathering tau[_MU] and tau[_NU] whole would triple the peak memory
-    for row, mu, nu in zip(table, _MU, _NU):
+    table = np.empty((len(_SWEEP_MU), tau.shape[1]))
+    # row by row: gathering tau[_SWEEP_MU] and tau[_SWEEP_NU] whole would triple the peak memory
+    for row, mu, nu in zip(table, _SWEEP_MU, _SWEEP_NU):
         np.multiply(tau[mu], tau[nu], out=row)
     table.setflags(write=False)
     return table
@@ -275,7 +275,7 @@ def _period_coefficients(forms, offset: np.ndarray, periods: int) -> np.ndarray:
     rotations[:, (0, 2), (1, 3)] = sin
     rotations[:, (1, 3), (0, 2)] = -sin
     turned = rotations.transpose(0, 2, 1)[:, None] @ forms @ rotations[:, None]
-    return _scan_py.pack(turned, _MU, _NU)
+    return kernels.pack(turned, _SWEEP_MU, _SWEEP_NU)
 
 
 def _sweep(forms, offset: np.ndarray, n: int, values=None) -> int:
@@ -323,7 +323,7 @@ def _sweep(forms, offset: np.ndarray, n: int, values=None) -> int:
         start = base + lo + n_axis - 1  # the row of index k = base + lo
         # the weights are spent, so h_a overwrites them
         hs = np.matmul(coeffs, block, out=scratch[: 4 * m].reshape(4, m))
-        found = _scan_py.fidelity_tail(hs, block_values[:m])[:count]
+        found = kernels.fidelity_tail(hs, block_values[:m])[:count]
         if values is not None:
             values[start : start + count] = found
         j = int(found.argmin())

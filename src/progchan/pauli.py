@@ -36,6 +36,8 @@ HADAMARD.setflags(write=False)
 ZERO_MODULUS = 1e-12
 #: max deviation of |n|^2 from 1 for a Bloch vector on S^3
 S3_TOL = 1e-12
+# bounds of sum |t_j|^2 = 4 and min |t_j| <= 1, for TVector and `verify`'s rows
+_SUM_RULE_TOL, _MIN_BOUND_TOL = 1e-10, 1e-12
 
 
 def pauli(j: int) -> np.ndarray:
@@ -98,9 +100,9 @@ class TVector:
         object.__setattr__(self, "t", t)
         total = float(np.sum(np.abs(t) ** 2))
         # written as "not <=" so that a NaN fails the guard
-        if not abs(total - 4.0) <= 1e-10:
+        if not abs(total - 4.0) <= _SUM_RULE_TOL:
             raise ContractError(f"sum |t_j|^2 must be 4, got {total!r}")
-        if float(np.min(np.abs(t))) > 1.0 + 1e-12:
+        if float(np.min(np.abs(t))) > 1.0 + _MIN_BOUND_TOL:
             raise ContractError("min |t_j| must not exceed 1")
 
     @property

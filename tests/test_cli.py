@@ -6,7 +6,9 @@ import pytest
 from helpers import write_matrix
 
 from progchan import (
+    ContractError,
     KrausChannel,
+    TVector,
     channel_fidelity,
     haar_unitary,
     obj_to_matrix,
@@ -188,6 +190,27 @@ class TestVerify:
             "hadamard/min-bound": "fail",
             "hadamard/two-route": "fail",
         }
+
+    @pytest.mark.parametrize("excess, status", [(5e-11, "pass"), (2e-10, "fail")])
+    def test_sum_rule_bound_is_shared_with_tvector(
+        self, files, capsys, monkeypatch, excess, status
+    ):
+        # |t|^2 summing to 4 + excess: the row and TVector read one bound.  The
+        # scaled vectors also leave the two-route row, so only a failed sum
+        # rule fixes the exit code.
+        raw = cli._hadamard_t_raw
+        scale = np.sqrt(1 + excess / 4)
+        monkeypatch.setattr(cli, "_hadamard_t_raw", lambda theta: scale * raw(theta))
+        code, out, err = run(capsys, "verify", "--suite", "hadamard", "--seed", "0")
+        rows = {line.split()[0]: line.split()[1] for line in out.splitlines()}
+        assert (rows["hadamard/sum-rule"], rows["hadamard/min-bound"], err) == (status, "pass", "")
+        t = cli._hadamard_t_raw(np.array([0.1, -0.7, 1.3, 2.9]))
+        if status == "pass":
+            TVector(t)
+        else:
+            assert code == 1
+            with pytest.raises(ContractError, match="sum"):
+                TVector(t)
 
 
 class TestOracleVerb:

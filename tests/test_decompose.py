@@ -130,12 +130,14 @@ class TestAdversarialSet:
                 assert abs(rep.fidelity - closed) <= 1e-12
                 assert abs(fidelity_uv(rep.worst_unitary, v)[0] - rep.fidelity) <= 1e-12
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 5: at alpha_1 = pi/4 the sign of alpha_3 depends on the dressing",
+    @pytest.mark.parametrize(
+        "cores", [[(Q, 0.3, 0.2)], [(Q, Q, Q), (Q, Q, -Q)]], ids=["a1-quarter", "swap-signs"]
     )
-    def test_alpha_is_a_class_invariant_on_the_quarter_face(self):
+    def test_alpha_is_a_class_invariant_on_the_quarter_face(self, cores):
+        # alpha_3 of either sign is one class at alpha_1 = pi/4; every dressing
+        # of it must decompose to one alpha
         rng = np.random.default_rng(40)
-        forms = [kraus_cirac_decompose(dressed((self.Q, 0.3, 0.2), rng)) for _ in range(40)]
+        forms = [kraus_cirac_decompose(dressed(a, rng)) for a in cores for _ in range(40)]
         alphas = np.array([form.alpha for form in forms])
-        np.testing.assert_allclose(alphas, alphas[0], rtol=0, atol=1e-12)
+        first = np.broadcast_to(alphas[0], alphas.shape)
+        np.testing.assert_allclose(alphas, first, rtol=0, atol=1e-12)

@@ -33,9 +33,16 @@ I2_ROWS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 def test_bad_dim():
     with pytest.raises(MatrixFormatError):
         obj_to_matrix({"dim": 3, "rows": [[[0, 0]] * 3] * 3})
-    for dim in (2.0, 4.0, True, "2", None, [2]):
+    for dim in (2.0, 4.0, True, np.True_, "2", None, [2]):
         with pytest.raises(MatrixFormatError, match="dim must be 2 or 4"):
             obj_to_matrix({"dim": dim, "rows": I2_ROWS})
+
+
+def test_numpy_integer_dim():
+    # an integer dim is accepted whatever its integer type
+    np.testing.assert_array_equal(obj_to_matrix({"dim": np.int64(2), "rows": I2_ROWS}), np.eye(2))
+    i4 = matrix_to_obj(np.eye(4))
+    np.testing.assert_array_equal(obj_to_matrix({**i4, "dim": np.int32(4)}), np.eye(4))
 
 
 def test_mismatched_rows():
