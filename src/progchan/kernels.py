@@ -5,10 +5,11 @@ the scan gets the real forms Q and the determinant form D built from them
 (``_scan_forms``).  The fidelity at Bloch point n is the top eigenvalue of
 S^dag S over 4, and S^dag S = (h_0 I + sum_a h_a sigma_a) / 2 with h_a =
 n^T Q_a n, so f = (h_0 + |(h_1, h_2, h_3)|) / 8 (``fidelity_tail``).  Each h_a
-is linear in the ten monomials n_mu n_nu (mu <= nu), so one real (4, 10) x
-(10, n) matmul gives all four for a batch (``fidelity_batch``).  The oracle's
-sweep reads its h_a off the same packed coefficients (``pack``), in the
-rotation table's coordinates, and shares the tail; D steers its witness.
+is linear in the ten monomials n_mu n_nu (mu <= nu, ``monomials``), so one
+real (4, 10) x (10, n) matmul of their coefficients (``pack``) gives all
+four for a batch (``fidelity_batch``).  The oracle's sweep takes both in
+this module's order, only regroups their rows, and shares the tail; D
+steers its witness.
 
 A point's value does not depend on the batch around it, except in a batch of
 a single row (``fidelity_from_bloch``): numpy computes that (4, 10) x (10, 1)
@@ -67,12 +68,24 @@ def device_parts(v) -> np.ndarray:
     return _scan_forms(v)[0]
 
 
-def pack(forms: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """The coefficients of the monomials n_mu n_nu in n^T F n, for each form F (the last two axes).
+def monomials(coords: np.ndarray) -> np.ndarray:
+    """The monomials n_mu n_nu (mu <= nu) of the points in the columns of coords, (10, n).
+
+    One broadcast product per mu into rows 0-3, 4-6, 7-8 and 9 (``_MU/_NU``
+    order): no gathered temporaries.
+    """
+    out = np.empty((10, coords.shape[1]))
+    for mu, row in enumerate((0, 4, 7, 9)):
+        np.multiply(coords[mu], coords[mu:], out=out[row : row + 4 - mu])
+    return out
+
+
+def pack(forms: np.ndarray) -> np.ndarray:
+    """The coefficients of ``monomials`` in n^T F n, for each form F (the last two axes).
 
     An off-diagonal monomial stands for two terms, so its coefficient is doubled.
     """
-    return forms[..., mu, nu] * np.where(mu == nu, 1.0, 2.0)
+    return forms[..., _MU, _NU] * np.where(_MU == _NU, 1.0, 2.0)
 
 
 def fidelity_tail(h: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -99,15 +112,9 @@ def fidelity_batch(forms, ns, out):
         raise ValueError("ns must have shape (n, 4)")
     if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != (len(ns),):
         raise ValueError("out must be a float64 array of shape (n,)")
-    coords = ns.T
-    # n_mu n_nu for mu <= nu in np.triu_indices order, one broadcast product
-    # per mu into rows 0-3, 4-6, 7-8 and 9: no gathered temporaries
-    monomials = np.empty((10, len(ns)))
-    for mu, row in enumerate((0, 4, 7, 9)):
-        np.multiply(coords[mu], coords[mu:], out=monomials[row : row + 4 - mu])
     # the product's transpose, (4, 10) x (10, n), so that each h_a is a
     # contiguous row: h_0 (the trace), h_1, h_2, h_3
-    return fidelity_tail(pack(forms, _MU, _NU) @ monomials, out)
+    return fidelity_tail(pack(forms) @ monomials(ns.T), out)
 
 
 def fidelity_from_bloch_batch(forms, ns) -> np.ndarray:

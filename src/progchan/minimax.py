@@ -50,6 +50,9 @@ _QUARTER_FACE_TOL = 1e-12
 #: max entrywise gap between the two routes of the covariance rule
 COVARIANCE_TOL = 1e-12
 
+# |alpha_k| up to float max / 4 keeps every theta_i = alpha_i - alpha_j - alpha_k finite
+_ALPHA_MAX = float(np.finfo(float).max) / 4
+
 
 @dataclass(frozen=True)
 class CanonicalForm:
@@ -96,8 +99,11 @@ def theta_from_alpha(alpha) -> np.ndarray:
     """
     alpha = np.asarray(alpha, dtype=float).reshape(3)
     # plain floats: three math.isfinite calls cost a third of np.isfinite here
-    if not all(map(math.isfinite, alpha.tolist())):
-        raise ContractError(f"alpha must be finite, got {alpha.tolist()}")
+    values = alpha.tolist()
+    if not all(map(math.isfinite, values)):
+        raise ContractError(f"alpha must be finite, got {values}")
+    if max(map(abs, values)) > _ALPHA_MAX:
+        raise ContractError(f"alpha must lie within +-{_ALPHA_MAX!r} (float max / 4), got {values}")
     t0 = alpha.sum()
     return wrap_phase(np.array([t0, 2 * alpha[0] - t0, 2 * alpha[1] - t0, 2 * alpha[2] - t0]))
 

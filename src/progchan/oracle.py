@@ -41,11 +41,10 @@ _ALPHAS = np.array([1.0 / _PHI3, 1.0 / _PHI3**2, 1.0 / _PHI3**3])
 # The angles of sequence index k come from a table of 2**_TABLE_BITS
 # rotations, indexed by k's low bits, times one rotation per period.
 _TABLE_BITS = 12
-# The sweep's monomials tau_mu tau_nu (mu <= nu) of a table entry, grouped by
-# the weight that n_mu n_nu puts on them at u: azimuth pairs 1 - u, cross
-# pairs sqrt(u (1 - u)), polar pairs u (``_sweep``).
-_SWEEP_MU = np.array([0, 0, 1, 0, 0, 1, 1, 2, 2, 3])
-_SWEEP_NU = np.array([0, 1, 1, 2, 3, 2, 3, 2, 3, 3])
+# The kernel's monomial rows (``kernels.monomials``), regrouped by the weight
+# that n_mu n_nu puts on tau_mu tau_nu at u: azimuth pairs 1 - u, cross pairs
+# sqrt(u (1 - u)), polar pairs u (``_sweep``).
+_SWEEP_ROWS = np.array([0, 1, 4, 2, 3, 5, 6, 7, 8, 9])
 _WEIGHT_ROWS = (slice(0, 3), slice(3, 7), slice(7, 10))
 
 # Size of the angle grid on [0, pi) over which the witness search maximizes
@@ -138,7 +137,7 @@ def _rotation_table() -> np.ndarray:
     """Read-only (4096, 2) table of sin + i cos of 2 pi frac(alpha_m j), m = azimuth, polar.
 
     Built on first use, the same object on every call; it does not depend
-    on the seed (``_sequence_points``).
+    on the seed (``_sample_rows``).
     """
     j = np.arange(1 << _TABLE_BITS)[:, None]
     turns = _ALPHAS[1:] * j
@@ -153,32 +152,28 @@ def _rotation_table() -> np.ndarray:
 
 @functools.cache
 def _monomial_table() -> np.ndarray:
-    """Read-only (10, 4096) table of the unit monomials tau_mu tau_nu (``_SWEEP_MU/NU``).
+    """Read-only (10, 4096) table of the unit monomials tau_mu tau_nu, in ``_SWEEP_ROWS`` order.
 
     tau_j is the (Re, Im) pair of both ``_rotation_table`` entries at j, a
     unit vector in each plane.  Built on first use, the same object on every
     call.
     """
-    tau = _rotation_table().view(float).T
-    table = np.empty((len(_SWEEP_MU), tau.shape[1]))
-    # row by row: gathering tau[_SWEEP_MU] and tau[_SWEEP_NU] whole would triple the peak memory
-    for row, mu, nu in zip(table, _SWEEP_MU, _SWEEP_NU):
-        np.multiply(tau[mu], tau[nu], out=row)
+    table = kernels.monomials(_rotation_table().view(float).T)[_SWEEP_ROWS]
     table.setflags(write=False)
     return table
 
 
-def _period_angles(offset: np.ndarray, periods: np.ndarray) -> np.ndarray:
-    """b = 2 pi frac(offset_m + alpha_m 4096 q) for each period q, shape (len(periods), 2).
+def _period_rotations(offset: np.ndarray, periods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos b, sin b), b = 2 pi frac(offset_m + alpha_m 4096 q), each (len(periods), 2).
 
     Sequence index k = 4096 q + j turns the table's entry at j by -b
-    (``_sequence_points``).
+    (``_sample_rows``).
     """
     turns = _ALPHAS[1:] * (periods << _TABLE_BITS)[:, None]
     turns += offset[1:]
     turns -= np.floor(turns)  # frac()
     turns *= 2 * np.pi
-    return turns
+    return np.cos(turns), np.sin(turns)
 
 
 def _radial_coordinate(k: np.ndarray, offset: np.ndarray, scratch=None) -> np.ndarray:
@@ -193,19 +188,23 @@ def _radial_coordinate(k: np.ndarray, offset: np.ndarray, scratch=None) -> np.nd
     return k
 
 
-def _sequence_points(offset: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Sequence points at the indices k, row-major, shape (len(k), 4).
+def _sample_rows(offset: np.ndarray, rows) -> np.ndarray:
+    """The rows of ``sample_su2``'s output at the given indices, built without the others.
 
-    The additive recurrence u_k = frac(offset + alpha k) fills the unit
-    cube, and the standard area-preserving map carries it onto S^3:
-    (sqrt(1 - u0) e_azim, sqrt(u0) e_polar), where e_m is the (sin, cos)
-    pair of the angle 2 pi u_m.  That pair is read as sin + i cos, which
-    for k = 4096 q + j is the product of the table entry at j
-    (``_rotation_table``) and cos b - i sin b, b = 2 pi frac(offset +
-    alpha 4096 q), so no angle needs a sin or cos of its own.  Each point
-    depends on its own index only, so any set of indices gives the same
-    bits as the full sequence.
+    Row i >= 8 is sequence point k = i - 7; rows 0-7 are the axis points,
+    written over the sequence values computed there.  The additive
+    recurrence u_k = frac(offset + alpha k) fills the unit cube, and the
+    standard area-preserving map carries it onto S^3: (sqrt(1 - u0) e_azim,
+    sqrt(u0) e_polar), where e_m is the (sin, cos) pair of the angle 2 pi
+    u_m.  That pair is read as sin + i cos, which for k = 4096 q + j is the
+    product of the table entry at j (``_rotation_table``) and cos b - i sin b
+    (``_period_rotations``), so no angle needs a sin or cos of its own.  Each
+    row depends on its own index only, so any set of indices gives the same
+    bits as the whole sample.  Returns a C-contiguous array.
     """
+    rows = np.asarray(rows)
+    n_axis = len(AXIS_POINTS)
+    k = rows - (n_axis - 1)
     out = np.empty((len(k), 4))
     rotations = out.view(complex)  # (azimuth, polar) per row
     # mode="wrap" indexes by k mod 4096, negative k too, and with out= it
@@ -213,30 +212,15 @@ def _sequence_points(offset: np.ndarray, k: np.ndarray) -> np.ndarray:
     np.take(_rotation_table(), k, axis=0, out=rotations, mode="wrap")
     periods = k >> _TABLE_BITS
     first = int(periods.min())
-    turns = _period_angles(offset, np.arange(first, int(periods.max()) + 1))
-    bases = np.empty(turns.shape, dtype=complex)
-    bases.real = np.cos(turns)
-    bases.imag = -np.sin(turns)
+    cos, sin = _period_rotations(offset, np.arange(first, int(periods.max()) + 1))
     periods -= first
-    rotations *= np.take(bases, periods, axis=0)
+    rotations *= np.take(cos - 1j * sin, periods, axis=0)
     u = _radial_coordinate(k.astype(float), offset)
     radii = np.empty((len(k), 2))  # low, high
     np.subtract(1.0, u, out=radii[:, 0])
     radii[:, 1] = u
     np.sqrt(radii, out=radii)
     rotations *= radii  # a real factor: each part is one rounded real product
-    return out
-
-
-def _sample_rows(offset: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The rows of ``sample_su2``'s output at the given indices, built without the others.
-
-    Row i >= 8 is sequence point i - 7; rows 0-7 are the axis points, written
-    over the sequence values computed there.  Returns a C-contiguous array.
-    """
-    rows = np.asarray(rows)
-    n_axis = len(AXIS_POINTS)
-    out = _sequence_points(offset, rows - (n_axis - 1))
     axis = np.flatnonzero(rows < n_axis)
     out[axis] = AXIS_POINTS[rows[axis]]
     return out
@@ -250,7 +234,7 @@ def _offset(config: ScanConfig) -> np.ndarray:
 def sample_su2(config: ScanConfig) -> np.ndarray:
     """Deterministic low-discrepancy Bloch points, axis points first.
 
-    The sequence points follow the axis points (``_sequence_points``).  With
+    The sequence points follow the axis points (``_sample_rows``).  With
     a fixed seed the sample is prefix-nested: raising the resolution only
     appends points.  ``minimax_scan`` never builds this array unless asked
     for a trace; its sweep evaluates the same points without building them.
@@ -263,19 +247,20 @@ def _period_coefficients(forms, offset: np.ndarray, periods: int) -> np.ndarray:
 
     Sequence point k = 4096 q + j is W_k R_q tau_j: tau_j from the table
     (``_monomial_table``), R_q = diag(M_azim, M_polar) the real form of the
-    period's rotations cos b - i sin b (``_sequence_points``), M = [[cos b,
+    period's rotations cos b - i sin b (``_period_rotations``), M = [[cos b,
     sin b], [-sin b, cos b]], and W_k = diag(r_low, r_low, r_high, r_high).
     W_k commutes with R_q, so h_a = tau_j^T W_k (R_q^T Q_a R_q) W_k tau_j:
-    period q reads the forms R_q^T Q_a R_q, one stacked product for all.
+    period q reads the forms R_q^T Q_a R_q, one stacked product for all,
+    packed by the kernel and regrouped like the table.
     """
-    turns = _period_angles(offset, np.arange(periods))
-    cos, sin = np.cos(turns), np.sin(turns)
+    cos, sin = _period_rotations(offset, np.arange(periods))
     rotations = np.zeros((periods, 4, 4))
     rotations[:, (0, 2), (0, 2)] = rotations[:, (1, 3), (1, 3)] = cos
     rotations[:, (0, 2), (1, 3)] = sin
     rotations[:, (1, 3), (0, 2)] = -sin
     turned = rotations.transpose(0, 2, 1)[:, None] @ forms @ rotations[:, None]
-    return kernels.pack(turned, _SWEEP_MU, _SWEEP_NU)
+    # take: a fancy index on the last axis lays each block out transposed, slower in matmul
+    return kernels.pack(turned).take(_SWEEP_ROWS, axis=-1)
 
 
 def _sweep(forms, offset: np.ndarray, n: int, values=None) -> int:
@@ -287,7 +272,7 @@ def _sweep(forms, offset: np.ndarray, n: int, values=None) -> int:
     rows go through the kernel as one batch.  The sequence points are never
     built: point k = 4096 q + j takes the table's unit monomials at j, each
     scaled by the weight W_k puts on it (1 - u, sqrt(u (1 - u)) or u, with
-    u_k as in ``_sequence_points``), against period q's coefficients
+    u_k as in ``_sample_rows``), against period q's coefficients
     (``_period_coefficients``).  Each period is one block, so the table is
     read in slices; every block reuses the same buffers, and only the
     running minimum outlives it, so the sweep holds O(4096) values whatever

@@ -163,6 +163,18 @@ class TestCircuitVerb:
         assert code == 2 and out == ""
         assert "must be finite" in err
 
+    def test_overflowing_alpha(self, files, capsys):
+        code, out, err = run(capsys, "circuit", "--alpha", "1e308,1e308,1e308")
+        assert code == 2 and out == ""
+        assert err.startswith("error: alpha must lie within +-") and "(float max / 4)" in err
+        assert "Traceback" not in err
+
+    def test_huge_alpha_within_the_bound_fails_the_synthesis_check(self, files, capsys):
+        # phases this large lose every digit, so the built circuit misses its target
+        code, out, err = run(capsys, "circuit", "--alpha", "1e17,0,0")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: general circuit does not reproduce its target")
+
 
 class TestVerify:
     def test_all_passes(self, files, capsys):

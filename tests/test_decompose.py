@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from helpers import ADVERSARIAL_ALPHAS, ADVERSARIAL_SCALES, dressed, is_unitary, random_chamber_alpha
+from helpers import (
+    ADVERSARIAL_ALPHAS,
+    ADVERSARIAL_SCALES,
+    adversarial_devices,
+    dressed,
+    is_unitary,
+    random_chamber_alpha,
+)
 
 from progchan import (
     CanonicalForm,
@@ -19,11 +26,25 @@ from progchan import (
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+# the textbook magic basis of Makhlin's local invariants, written out here
+MAKHLIN_BASIS = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]]) / np.sqrt(2)
 
 
 def in_chamber(alpha, tol=1e-12):
     a1, a2, a3 = alpha
     return np.pi / 4 + tol >= a1 >= a2 - tol and a2 >= abs(a3) - tol and a2 >= -tol
+
+
+def local_invariants(v):
+    """Makhlin's (G1, G2) of a two-qubit unitary: equal exactly for locally equivalent ones.
+
+    With m = (Q^dag V Q)^T (Q^dag V Q) in the magic basis Q,
+    G1 = tr^2 m / (16 det V) and G2 = (tr^2 m - tr m^2) / (4 det V).
+    """
+    turned = MAKHLIN_BASIS.conj().T @ v @ MAKHLIN_BASIS
+    m = turned.T @ turned
+    trace, det = np.trace(m), np.linalg.det(v)
+    return np.array([trace**2 / (16 * det), (trace**2 - np.trace(m @ m)) / (4 * det)])
 
 
 def assert_valid_form(form: CanonicalForm, v):
@@ -141,3 +162,40 @@ class TestAdversarialSet:
         alphas = np.array([form.alpha for form in forms])
         first = np.broadcast_to(alphas[0], alphas.shape)
         np.testing.assert_allclose(alphas, first, rtol=0, atol=1e-12)
+
+
+class TestLocalInvariants:
+    """A second route to the decomposition: V and the canonical gate of its
+    alpha must share Makhlin's local invariants (Quantum Inf. Process. 1, 243, 2002)."""
+
+    Q = np.pi / 4
+
+    def devices(self, family, rng):
+        if family == "haar":
+            return [haar_unitary(4, rng) for _ in range(100)]
+        if family == "adversarial":
+            return adversarial_devices(rng, 3)
+        # quarter-face classes with alpha_3 of both signs: one class per pair
+        cores = [(self.Q, self.Q, self.Q)]
+        for _ in range(30):
+            a2 = rng.uniform(0, self.Q)
+            cores.append((self.Q, a2, rng.uniform(0, a2)))
+        return [dressed((a1, a2, sign * a3), rng) for a1, a2, a3 in cores for sign in (1, -1)]
+
+    @pytest.mark.parametrize("family", ["haar", "adversarial", "quarter-face"])
+    def test_canonical_gate_of_alpha_keeps_the_invariants(self, family):
+        rng = np.random.default_rng(["haar", "adversarial", "quarter-face"].index(family))
+        for v in self.devices(family, rng):
+            alpha = kraus_cirac_decompose(v).alpha
+            np.testing.assert_allclose(
+                local_invariants(canonical_gate(alpha)), local_invariants(v), rtol=0, atol=1e-12
+            )
+
+    def test_invariants_tell_nearby_classes_apart(self):
+        # classes 0.01 apart differ far beyond the tolerance above
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            alpha = random_chamber_alpha(rng, interior=True)
+            for step in 0.01 * np.eye(3):
+                gap = local_invariants(canonical_gate(alpha + step)) - local_invariants(canonical_gate(alpha))
+                assert np.max(np.abs(gap)) > 1e-6

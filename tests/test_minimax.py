@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from helpers import (
@@ -71,6 +73,19 @@ class TestThetaFromAlpha:
     def test_non_finite_alpha_rejected(self, fn, bad):
         with pytest.raises(ContractError, match=r"^alpha must be finite, got \["):
             fn([bad, 0.1, 0.0])
+
+    @pytest.mark.parametrize("big", [1e308, -1e308, 4.5e307])
+    @pytest.mark.parametrize("fn", [theta_from_alpha, canonical_gate])
+    def test_overflowing_alpha_rejected(self, fn, big):
+        # rejected before any arithmetic, so no overflow warning either
+        bound = re.escape(repr(float(np.finfo(float).max) / 4))
+        with pytest.raises(ContractError, match=rf"^alpha must lie within \+-{bound} \(float max / 4\), got \["):
+            fn([0.1, big, 0.0])
+
+    def test_alpha_at_the_bound_has_finite_phases(self):
+        bound = np.finfo(float).max / 4
+        for alpha in ([bound] * 3, [bound, -bound, -bound], [-bound, bound, 0.0]):
+            assert np.all(np.isfinite(theta_from_alpha(alpha)))
 
 
 class TestSOperator:

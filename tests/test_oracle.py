@@ -356,6 +356,34 @@ class TestStreamedSweep:
             # the row np.argmin picks: axis rows first, ties to the lower row
             assert oracle._sweep(forms, offset, resolution) == np.argmin(values)
 
+    @pytest.mark.parametrize("seed", [0, 4, 9])
+    def test_period_coefficients_are_one_product_per_period(self, seed):
+        # the stacked product equals, bit for bit, one product per period q with
+        # R_q built from angles computed here by the same operations
+        rng = np.random.default_rng(seed)
+        devices = [haar_unitary(4, rng) for _ in range(10)]
+        devices += [canonical_gate(random_chamber_alpha(rng)), optimal_interaction(1, 1), np.eye(4)]
+        offset = oracle._offset(ScanConfig(seed=seed))
+        periods = 245  # a million points
+        rotations = []
+        for q in range(periods):
+            turns = _ALPHAS[1:] * (q << 12)
+            turns += offset[1:]
+            turns -= np.floor(turns)
+            turns *= 2 * np.pi
+            (c_azim, c_polar), (s_azim, s_polar) = np.cos(turns), np.sin(turns)
+            rotation = np.zeros((4, 4))
+            rotation[:2, :2] = [[c_azim, s_azim], [-s_azim, c_azim]]
+            rotation[2:, 2:] = [[c_polar, s_polar], [-s_polar, c_polar]]
+            rotations.append(rotation)
+        for v in devices:
+            forms = device_parts(v)
+            stacked = oracle._period_coefficients(forms, offset, periods)
+            assert stacked.shape == (periods, 4, 10)
+            for q, rotation in enumerate(rotations):
+                single = kernels.pack(rotation.T @ forms @ rotation)[..., oracle._SWEEP_ROWS]
+                np.testing.assert_array_equal(stacked[q], single)
+
     @staticmethod
     def traced_peak(v, config):
         tracemalloc.start()
