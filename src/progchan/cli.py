@@ -35,6 +35,8 @@ from .pauli import HADAMARD, _hadamard_t_raw, bloch_to_matrix, hadamard_t, hadam
 from .pauli import _MIN_BOUND_TOL, _SUM_RULE_TOL
 
 DEFAULT_SEED_ENV = "PROGCHAN_SEED"
+#: largest --alpha-grid: a1 slices of up to ~n^2 rows, ~200 MB each at 500
+MAX_ALPHA_GRID = 500
 
 
 def _resolve_seed(flag) -> int:
@@ -185,16 +187,14 @@ def _verify_covariance_rows(seed: int) -> list:
 
 def _verify_hadamard_rows(seed: int) -> list:
     ortho = float(np.max(np.abs(HADAMARD @ HADAMARD.T - np.eye(4))))
-    rng = np.random.default_rng(seed)
-    worst_sum = worst_min = worst_route = 0.0
-    for _ in range(1000):
-        theta = rng.uniform(-np.pi, np.pi, 4)
-        # the bare vectors: TVector would reject a broken sum rule or bound as bad input
-        t = _hadamard_t_raw(theta)
-        moduli = np.abs(t)
-        worst_sum = max(worst_sum, abs(float(np.sum(moduli**2)) - 4.0))
-        worst_min = max(worst_min, float(moduli.min()) - 1.0)
-        worst_route = max(worst_route, float(np.max(np.abs(t - hadamard_t_contract(theta)))))
+    # one (1000, 4) draw consumes the generator as 1000 draws of 4 would
+    theta = np.random.default_rng(seed).uniform(-np.pi, np.pi, (1000, 4))
+    # the bare vectors: TVector would reject a broken sum rule or bound as bad input
+    t = _hadamard_t_raw(theta)
+    moduli = np.abs(t)
+    worst_sum = float(np.max(np.abs(np.sum(moduli**2, axis=-1) - 4.0), initial=0.0))
+    worst_min = float(np.max(moduli.min(axis=-1) - 1.0, initial=0.0))
+    worst_route = float(np.max(np.abs(t - hadamard_t_contract(theta)), initial=0.0))
     return [
         _pass_fail_row("hadamard/orthogonality", ortho, 1e-15),
         _pass_fail_row("hadamard/sum-rule", worst_sum, _SUM_RULE_TOL),
@@ -255,20 +255,20 @@ def _cmd_scan(args) -> int:
     n = args.alpha_grid
     if n < 2:
         raise MatrixFormatError("--alpha-grid must be >= 2")
-    a1_values = np.linspace(0.0, np.pi / 4, n)
+    if n > MAX_ALPHA_GRID:
+        raise MatrixFormatError(f"--alpha-grid must be <= MAX_ALPHA_GRID = {MAX_ALPHA_GRID}, got {n}")
+    grid = np.linspace(0.0, np.pi / 4, n)
+    # the (a2, a3) pairs with |a3| <= a2, a2-major; each a1 takes those with a2 <= a1
+    a2, a3 = np.meshgrid(grid, np.linspace(-np.pi / 4, np.pi / 4, 2 * n - 1), indexing="ij")
+    pairs = np.stack([a2, a3], axis=-1)[np.abs(a3) <= a2 + 1e-15]
     with open(args.out, "w", newline="") as fh:
         writer = csv_mod.writer(fh)
         writer.writerow(["a1", "a2", "a3", "t0_sq", "t1_sq", "t2_sq", "t3_sq", "fidelity"])
-        for a1 in a1_values:
-            for a2 in np.linspace(0.0, np.pi / 4, n):
-                if a2 > a1 + 1e-15:
-                    continue
-                for a3 in np.linspace(-np.pi / 4, np.pi / 4, 2 * n - 1):
-                    if abs(a3) > a2 + 1e-15:
-                        continue
-                    t = hadamard_t(theta_from_alpha([a1, a2, a3]))
-                    w = t.moduli**2
-                    writer.writerow([repr(float(x)) for x in (a1, a2, a3, *w, w.min() / 4.0)])
+        for a1 in grid:
+            alpha = np.insert(pairs[pairs[:, 0] <= a1 + 1e-15], 0, a1, axis=1)
+            w = hadamard_t(theta_from_alpha(alpha)).moduli ** 2
+            rows = np.column_stack([alpha, w, w.min(-1) / 4.0]).tolist()
+            writer.writerows([repr(x) for x in row] for row in rows)
     return 0
 
 

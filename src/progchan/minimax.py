@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DecompositionError
+from .errors import ContractError, DecompositionError, DimensionError
 from .matops import _is_real, assert_unitary, hermitian_eig, kron
 from .pauli import (
     PAULI,
@@ -93,19 +93,21 @@ class MinimaxReport:
 
 
 def theta_from_alpha(alpha) -> np.ndarray:
-    """Eigenphases of the canonical interaction on the sigma basis.
+    """Eigenphases (..., 4) of canonical interactions (..., 3) on the sigma basis.
 
     theta_0 = alpha_1 + alpha_2 + alpha_3 and theta_i = 2 alpha_i - theta_0.
     """
-    alpha = np.asarray(alpha, dtype=float).reshape(3)
-    # plain floats: three math.isfinite calls cost a third of np.isfinite here
-    values = alpha.tolist()
-    if not all(map(math.isfinite, values)):
-        raise ContractError(f"alpha must be finite, got {values}")
-    if max(map(abs, values)) > _ALPHA_MAX:
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape[-1:] != (3,):
+        raise DimensionError(f"alpha must have 3 components, got shape {alpha.shape}")
+    # written as "not <=" so that a NaN fails the guard; the first bad row is quoted
+    if not abs(alpha).max(initial=0.0) <= _ALPHA_MAX:
+        values = alpha[~(abs(alpha) <= _ALPHA_MAX).all(-1)][0].tolist()
+        if not all(map(math.isfinite, values)):
+            raise ContractError(f"alpha must be finite, got {values}")
         raise ContractError(f"alpha must lie within +-{_ALPHA_MAX!r} (float max / 4), got {values}")
-    t0 = alpha.sum()
-    return wrap_phase(np.array([t0, 2 * alpha[0] - t0, 2 * alpha[1] - t0, 2 * alpha[2] - t0]))
+    t0 = alpha.sum(-1, keepdims=True)
+    return wrap_phase(np.concatenate([t0, 2 * alpha - t0], axis=-1))
 
 
 def alpha_from_theta(theta) -> np.ndarray:
@@ -115,13 +117,13 @@ def alpha_from_theta(theta) -> np.ndarray:
 
 
 def canonical_gate(alpha) -> np.ndarray:
-    """exp[i sum_k alpha_k sigma_k x sigma_k^T], built by spectral synthesis.
+    """exp[i sum_k alpha_k sigma_k x sigma_k^T] by spectral synthesis, (..., 4, 4) for (..., 3).
 
     The sigma-basis vectors are exact eigenvectors, so no series expansion
     or truncation is involved.
     """
     phases = np.exp(1j * theta_from_alpha(alpha))
-    return (SIGMA_BASIS * phases) @ SIGMA_BASIS.conj().T
+    return (SIGMA_BASIS * phases[..., None, :]) @ SIGMA_BASIS.conj().T
 
 
 def s_operator(u, v) -> np.ndarray:

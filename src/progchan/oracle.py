@@ -3,7 +3,7 @@
 The inner maximization over program states is analytic (top eigenvalue of
 S^dag S), so the only approximation is the discretization of the target
 group: a seeded low-discrepancy sweep of S^3 (``_sweep``).  The sweep builds
-no points and keeps a running minimum, so a scan's memory grows only by ~1 KB
+no points and keeps a running minimum, so a scan's memory grows only by ~1.6 KB
 of coefficients per 4096 points; only a ``--csv`` trace holds the whole
 sample.  The scan sees the device only as the two arrays that
 ``kernels._scan_forms`` builds: the real forms Q and the determinant form D.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +53,21 @@ _WEIGHT_ROWS = (slice(0, 3), slice(3, 7), slice(7, 10))
 # eigensolve per candidate.
 WITNESS_ANGLES = 8
 
+#: largest resolution: 10**8 points hold ~40 MB of period coefficients
+MAX_RESOLUTION = 10**8
+#: largest sigma sample count: 10**6 programs take ~320 MB at once
+MAX_SIGMA_SAMPLES = 10**6
 
-def _check_count(name: str, value, lowest: int = 0) -> None:
-    """ContractError unless value is an integer count of at least ``lowest``."""
+
+def _check_count(name: str, value, lowest: int = 0, cap: tuple[str, int] | None = None) -> None:
+    """ContractError unless value is an integer count of at least ``lowest``
+    and, given a (constant name, bound) ``cap``, at most the bound."""
     if not _is_integer(value):
         raise ContractError(f"{name} must be an integer, got {value!r}")
     if value < lowest:
         raise ContractError(f"{name} must be >= {lowest}, got {value}")
+    if cap is not None and value > cap[1]:
+        raise ContractError(f"{name} must be <= {cap[0]} = {cap[1]}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +81,10 @@ class ScanConfig:
     sigma_samples: int = 1000
 
     def __post_init__(self):
-        for f in fields(self):
-            _check_count(f.name, getattr(self, f.name), 100 if f.name == "resolution" else 0)
+        _check_count("resolution", self.resolution, 100, ("MAX_RESOLUTION", MAX_RESOLUTION))
+        _check_count("refine_steps", self.refine_steps)
+        _check_count("seed", self.seed)
+        _check_count("sigma_samples", self.sigma_samples, 0, ("MAX_SIGMA_SAMPLES", MAX_SIGMA_SAMPLES))
 
 
 @dataclass(frozen=True)
@@ -393,7 +403,7 @@ def sigma_dominance_check(u, v, n: int, seed: int = 0) -> float:
     beyond rounding; the analytic program state itself attains it.  All n
     programs are drawn and evaluated as one stack.
     """
-    _check_count("sample count", n)
+    _check_count("sample count", n, cap=("MAX_SIGMA_SAMPLES", MAX_SIGMA_SAMPLES))
     _check_count("seed", seed)
     sigmas = _random_densities(np.random.default_rng(seed), n)
     return float(np.max(program_overlap(u, v, sigmas), initial=0.0))

@@ -89,20 +89,22 @@ def matrix_to_bloch(u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TVector:
-    """The four complex amplitudes whose minimum modulus fixes the worst-case fidelity."""
+    """The four complex amplitudes fixing the worst-case fidelity, or a (..., 4) stack of them."""
 
     t: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=complex).reshape(-1)
-        if t.size != 4:
-            raise DimensionError(f"t vector must have 4 components, got {t.size}")
+        t = np.asarray(self.t, dtype=complex)
+        if t.shape[-1:] != (4,):
+            raise DimensionError(f"t vector must have 4 components, got shape {t.shape}")
         object.__setattr__(self, "t", t)
-        total = float(np.sum(np.abs(t) ** 2))
-        # written as "not <=" so that a NaN fails the guard
-        if not abs(total - 4.0) <= _SUM_RULE_TOL:
-            raise ContractError(f"sum |t_j|^2 must be 4, got {total!r}")
-        if float(np.min(np.abs(t))) > 1.0 + _MIN_BOUND_TOL:
+        moduli = np.abs(t)
+        totals = (moduli**2).sum(-1)
+        # written as "<=" so that a NaN fails the guard; the first broken row is quoted
+        held = abs(totals - 4.0) <= _SUM_RULE_TOL
+        if not held.all():
+            raise ContractError(f"sum |t_j|^2 must be 4, got {float(totals[~held].flat[0])!r}")
+        if (moduli.min(-1) > 1.0 + _MIN_BOUND_TOL).any():
             raise ContractError("min |t_j| must not exceed 1")
 
     @property
@@ -115,33 +117,33 @@ class TVector:
         return np.where(self.moduli < ZERO_MODULUS, 0.0, np.angle(self.t))
 
     def pair_matrix(self) -> np.ndarray:
-        """T_ij = |t_i|^2 |t_j|^2 sin^2(phi_i - phi_j)."""
-        w = self.moduli**2
-        dphi = np.subtract.outer(self.phases, self.phases)
-        return np.outer(w, w) * np.sin(dphi) ** 2
+        """T_ij = |t_i|^2 |t_j|^2 sin^2(phi_i - phi_j), shape (..., 4, 4)."""
+        w, phi = self.moduli**2, self.phases[..., None]
+        return w[..., :, None] * w[..., None, :] * np.sin(phi - phi.swapaxes(-1, -2)) ** 2
 
 
 def _hadamard_t_raw(theta) -> np.ndarray:
-    """The t vector of ``hadamard_t``, a complex 4-vector whose sum rule and bound go unchecked.
+    """The t vectors (..., 4) of ``hadamard_t``, their sum rule and bound unchecked.
 
     Uses t0 = (1/2) sum_j e^{-i theta_j} and t_j = e^{-i theta_0} +
     e^{-i theta_j} - t0; contracting HADAMARD against e^{-i theta} gives the
     same vector.
     """
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.size != 4:
-        raise DimensionError(f"phase vector must have 4 components, got {theta.size}")
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[-1:] != (4,):
+        raise DimensionError(f"phase vector must have 4 components, got shape {theta.shape}")
     z = np.exp(-1j * theta)
-    t0 = 0.5 * z.sum()
-    return np.array([t0, z[0] + z[1] - t0, z[0] + z[2] - t0, z[0] + z[3] - t0])
+    t0 = 0.5 * z.sum(axis=-1, keepdims=True)
+    t = z + z[..., :1] - t0
+    t[..., :1] = t0
+    return t
 
 
 def hadamard_t(theta) -> TVector:
-    """Map the four eigenphases of a canonical interaction to its t vector (``_hadamard_t_raw``)."""
+    """Map eigenphases (..., 4) of canonical interactions to t vectors (``_hadamard_t_raw``)."""
     return TVector(_hadamard_t_raw(theta))
 
 
 def hadamard_t_contract(theta) -> np.ndarray:
-    """The Hadamard-contraction route H . e^{-i theta}, kept as a cross-check."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    return HADAMARD @ np.exp(-1j * theta)
+    """The cross-check route H . e^{-i theta}: H @ z per vector, as z @ H rounds differently."""
+    return (HADAMARD @ np.exp(-1j * np.asarray(theta, dtype=float))[..., None])[..., 0]

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from progchan import (
+    HADAMARD,
     PAULI,
     bloch_to_matrix,
     canonical_gate,
@@ -23,6 +24,7 @@ from progchan import (
     theta_from_alpha,
 )
 from progchan.kernels import device_parts, fidelity_from_bloch_batch
+from progchan.pauli import wrap_phase
 
 Q = np.pi / 4
 
@@ -234,6 +236,49 @@ def sigma_dominance_loop(u, v, n, seed=0):
         sigma = np.einsum("ijkj->ik", np.outer(psi, psi.conj()).reshape(2, 2, 2, 2))
         top = max(top, program_overlap(u, v, sigma))
     return top
+
+
+def _t_vector_loop(theta):
+    """One t vector by the per-vector expressions, with its Hadamard-contraction route."""
+    z = np.exp(-1j * np.asarray(theta, dtype=float))
+    t0 = 0.5 * z.sum()
+    return np.array([t0, z[0] + z[1] - t0, z[0] + z[2] - t0, z[0] + z[3] - t0]), HADAMARD @ z
+
+
+def hadamard_rows_loop(seed):
+    """``cli._verify_hadamard_rows`` one sample at a time, kept as its reference.
+
+    Draws 1000 phase vectors of 4 in turn and keeps running maxima from 0.
+    """
+    ortho = float(np.max(np.abs(HADAMARD @ HADAMARD.T - np.eye(4))))
+    rng = np.random.default_rng(seed)
+    worst_sum = worst_min = worst_route = 0.0
+    for _ in range(1000):
+        t, contracted = _t_vector_loop(rng.uniform(-np.pi, np.pi, 4))
+        moduli = np.abs(t)
+        worst_sum = max(worst_sum, abs(float(np.sum(moduli**2)) - 4.0))
+        worst_min = max(worst_min, float(moduli.min()) - 1.0)
+        worst_route = max(worst_route, float(np.max(np.abs(t - contracted))))
+    rows = [("orthogonality", ortho, 1e-15), ("sum-rule", worst_sum, 1e-10)]
+    rows += [("min-bound", worst_min, 1e-12), ("two-route", worst_route, 1e-12)]
+    return [(f"hadamard/{name}", "pass" if r <= tol else "fail", r, "") for name, r, tol in rows]
+
+
+def scan_grid_loop(n):
+    """The ``scan --alpha-grid n`` CSV text, one chamber point at a time, kept as its reference."""
+    lines = ["a1,a2,a3,t0_sq,t1_sq,t2_sq,t3_sq,fidelity"]
+    for a1 in np.linspace(0.0, np.pi / 4, n):
+        for a2 in np.linspace(0.0, np.pi / 4, n):
+            if a2 > a1 + 1e-15:
+                continue
+            for a3 in np.linspace(-np.pi / 4, np.pi / 4, 2 * n - 1):
+                if abs(a3) > a2 + 1e-15:
+                    continue
+                t0 = a1 + a2 + a3
+                theta = wrap_phase(np.array([t0, 2 * a1 - t0, 2 * a2 - t0, 2 * a3 - t0]))
+                w = np.abs(_t_vector_loop(theta)[0]) ** 2
+                lines.append(",".join(repr(float(x)) for x in (a1, a2, a3, *w, w.min() / 4.0)))
+    return "\r\n".join(lines) + "\r\n"
 
 
 def projector_densities(rng, n):

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from helpers import write_matrix
+from helpers import hadamard_rows_loop, scan_grid_loop, write_matrix
 
 from progchan import (
     ContractError,
@@ -310,6 +310,43 @@ class TestScanVerb:
         last = rows[-1]
         # final row is the chamber corner alpha = (pi/4, pi/4, pi/4): F = 1/4
         assert float(last[-1]) == pytest.approx(0.25, abs=1e-12)
+
+
+class TestStackedLoops:
+    """The verbs that map stacks give the values of the per-sample loops they replaced."""
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_scan_csv_equals_the_point_loop(self, files, capsys, n):
+        out_path = files["tmp"] / "grid.csv"
+        assert run(capsys, "scan", "--alpha-grid", n, "--out", out_path)[0] == 0
+        assert out_path.read_bytes() == scan_grid_loop(n).encode()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_hadamard_rows_equal_the_sample_loop(self, seed):
+        assert cli._verify_hadamard_rows(seed) == hadamard_rows_loop(seed)
+
+
+class TestCountBounds:
+    """Counts too large to allocate exit 2 with their bound, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (("oracle", "--resolution", "1000000000000000"), "MAX_RESOLUTION = 100000000"),
+            (("oracle", "--resolution", "100000001"), "MAX_RESOLUTION = 100000000"),
+            (("oracle", "--sigma-samples", "1000000000000000"), "MAX_SIGMA_SAMPLES = 1000000"),
+            (("oracle", "--sigma-samples", "1000001"), "MAX_SIGMA_SAMPLES = 1000000"),
+            (("scan", "--alpha-grid", "1000000000000"), "MAX_ALPHA_GRID = 500"),
+            (("scan", "--alpha-grid", "501"), "MAX_ALPHA_GRID = 500"),
+        ],
+    )
+    def test_count_above_its_bound(self, files, capsys, argv, bound):
+        extra = ["--v", files["v_id"]] if argv[0] == "oracle" else ["--out", files["tmp"] / "g.csv"]
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and bound in err
+        assert "Traceback" not in err
+        assert not (files["tmp"] / "g.csv").exists()
 
 
 class TestPrinterBytes:

@@ -195,6 +195,19 @@ class TestSampleSU2:
         config = ScanConfig(resolution=np.int64(200), refine_steps=np.int32(5), seed=np.uint8(3))
         assert sample_su2(config).shape == (200, 4)
 
+    def test_config_bounds(self):
+        # each bound is accepted; nothing is allocated here, so no scan runs at it
+        config = ScanConfig(resolution=oracle.MAX_RESOLUTION, sigma_samples=oracle.MAX_SIGMA_SAMPLES)
+        assert (config.resolution, config.sigma_samples) == (10**8, 10**6)
+        for field, cap in [("resolution", "MAX_RESOLUTION"), ("sigma_samples", "MAX_SIGMA_SAMPLES")]:
+            with pytest.raises(ContractError, match=f"^{field} must be <= {cap} = "):
+                ScanConfig(**{field: getattr(oracle, cap) + 1})
+
+    def test_sigma_check_count_bound(self):
+        # refused before any program is drawn
+        with pytest.raises(ContractError, match="^sample count must be <= MAX_SIGMA_SAMPLES = "):
+            sigma_dominance_check(np.eye(2), np.eye(4), 10**15)
+
 
 class TestMinimaxScan:
     def test_optimal_device(self):

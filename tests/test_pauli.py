@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,13 @@ from progchan import (
     DimensionError,
     TVector,
     bloch_to_matrix,
+    canonical_gate,
     equal_up_to_global_phase,
     haar_unitary,
     hadamard_t,
     matrix_to_bloch,
     pauli,
+    theta_from_alpha,
 )
 from progchan.pauli import hadamard_t_contract, wrap_phase
 
@@ -149,3 +153,68 @@ class TestHadamardT:
     def test_nan_rejected(self):
         with pytest.raises(ContractError, match="must be 4"):
             TVector([np.nan] * 4)
+
+
+class TestStacks:
+    """The closed-form chain on a (..., 3) stack gives, bit for bit, what it gives on each row."""
+
+    @staticmethod
+    def _stack(shape):
+        rng = np.random.default_rng(5)
+        return rng.uniform(-np.pi, np.pi, shape + (3,))
+
+    @pytest.mark.parametrize("shape", [(300,), (2, 5)])
+    def test_stack_equals_its_rows(self, shape):
+        alpha = self._stack(shape)
+        theta = theta_from_alpha(alpha)
+        t = hadamard_t(theta)
+        assert theta.shape == shape + (4,) and t.t.shape == shape + (4,)
+        assert t.pair_matrix().shape == shape + (4, 4)
+        for index in np.ndindex(*shape):
+            row_theta = theta_from_alpha(alpha[index])
+            row_t = hadamard_t(row_theta)
+            assert np.array_equal(theta[index], row_theta)
+            assert np.array_equal(t.t[index], row_t.t)
+            assert np.array_equal(hadamard_t_contract(theta)[index], hadamard_t_contract(row_theta))
+            assert np.array_equal(t.pair_matrix()[index], row_t.pair_matrix())
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 5)])
+    def test_canonical_gate_stack_equals_its_rows(self, shape):
+        # a (4, 3) stack once broadcast against the 4x4 basis into one wrong matrix
+        alpha = self._stack(shape)
+        gates = canonical_gate(alpha)
+        assert gates.shape == shape + (4, 4)
+        for index in np.ndindex(*shape):
+            assert np.array_equal(gates[index], canonical_gate(alpha[index]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    def test_bad_alpha_row_raises_as_alone(self, bad):
+        alpha = self._stack((2, 5))
+        alpha[1, 3, 1] = bad
+        with pytest.raises(ContractError) as alone:
+            theta_from_alpha(alpha[1, 3])
+        with pytest.raises(ContractError, match=f"^{re.escape(str(alone.value))}$"):
+            theta_from_alpha(alpha)
+
+    @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9, np.nan])
+    def test_bad_t_row_raises_as_alone(self, scale):
+        t = hadamard_t(theta_from_alpha(self._stack((7,)))).t.copy()
+        t[4] *= scale
+        with pytest.raises(ContractError) as alone:
+            TVector(t[4])
+        with pytest.raises(ContractError, match=f"^{re.escape(str(alone.value))}$"):
+            TVector(t)
+
+    def test_min_bound_row_raises_as_alone(self):
+        # four moduli of 1 + 1e-11 sum to 4 + 8e-11, inside the sum rule, yet all exceed 1
+        t = np.tile(hadamard_t(np.zeros(4)).t, (3, 1))
+        t[1] = 1 + 1e-11
+        with pytest.raises(ContractError, match="^min \\|t_j\\| must not exceed 1$"):
+            TVector(t[1])
+        with pytest.raises(ContractError, match="^min \\|t_j\\| must not exceed 1$"):
+            TVector(t)
+
+    @pytest.mark.parametrize("shape", [(), (2,), (4,), (3, 1)])
+    def test_last_axis_must_be_three(self, shape):
+        with pytest.raises(DimensionError, match="alpha must have 3 components"):
+            theta_from_alpha(np.zeros(shape))
