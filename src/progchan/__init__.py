@@ -66,7 +66,6 @@ from .pauli import (
     bloch_to_matrix,
     hadamard_t,
     matrix_to_bloch,
-    pauli,
 )
 
 __version__ = "0.1.0"
@@ -124,6 +123,5 @@ __all__ = [
     "bloch_to_matrix",
     "hadamard_t",
     "matrix_to_bloch",
-    "pauli",
     "__version__",
 ]

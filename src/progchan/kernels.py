@@ -1,8 +1,8 @@
 """The scan's device model and its inner loop, vectorized in numpy.
 
-Only this module reads the K_mu of S(n) = sum_mu n_mu K_mu (``_bloch_parts``);
-the scan gets the real forms Q and the determinant form D built from them
-(``_scan_forms``).  The fidelity at Bloch point n is the top eigenvalue of
+Only this module reads the K_mu of S(n) = sum_mu n_mu K_mu (S of the Bloch
+basis); the scan gets the real forms Q and the determinant form D built from
+them (``_scan_forms``).  The fidelity at Bloch point n is the top eigenvalue of
 S^dag S over 4, and S^dag S = (h_0 I + sum_a h_a sigma_a) / 2 with h_a =
 n^T Q_a n, so f = (h_0 + |(h_1, h_2, h_3)|) / 8 (``fidelity_tail``).  Each h_a
 is linear in the ten monomials n_mu n_nu (mu <= nu, ``monomials``), so one
@@ -23,25 +23,20 @@ from __future__ import annotations
 import numpy as np
 
 from .matops import assert_unitary
+from .minimax import _s
 from .pauli import PAULI
 
 # the kernel's monomials n_mu n_nu, mu <= nu, in np.triu_indices order
 _MU, _NU = np.triu_indices(4)
 
+# B_mu = (I, i sigma_1, i sigma_2, i sigma_3); S is linear in the target, so K_mu = S(B_mu, v)
+_BLOCH_BASIS = np.concatenate([PAULI[:1], 1j * PAULI[1:]])
+_BLOCH_BASIS.setflags(write=False)
+
 
 def backend_name() -> str:
     """Name of the scan kernel, recorded with every benchmark result."""
     return "python"
-
-
-def _bloch_parts(v) -> np.ndarray:
-    """K_mu with S(n) = sum_mu n_mu K_mu, for a joint unitary v, validated here.
-
-    K_mu = Tr_1[(B_mu^T x I) v^*] with B_0 = I and B_k = i sigma_k: S is linear in U.
-    """
-    basis = np.concatenate([PAULI[:1], 1j * PAULI[1:]])
-    vc = np.conj(assert_unitary(v, 4, name="joint unitary")).reshape(2, 2, 2, 2)
-    return np.einsum("mab,ajbl->mjl", basis, vc)
 
 
 def _scan_forms(v) -> tuple[np.ndarray, np.ndarray]:
@@ -50,7 +45,7 @@ def _scan_forms(v) -> tuple[np.ndarray, np.ndarray]:
     D is complex symmetric with det S(n) = n^T D n: for K_mu = [[a, b], [c, d]],
     D_mu,nu = (a_mu d_nu + d_mu a_nu - b_mu c_nu - c_mu b_nu) / 2.
     """
-    parts = _bloch_parts(v)
+    parts = _s(_BLOCH_BASIS, assert_unitary(v, 4, name="joint unitary"))
     # Tr(sigma_a K_mu^dag K_nu) sums the entrywise product of K_mu^* and K_nu sigma_a
     twisted = (parts @ PAULI[:, None]).reshape(4, 4, 4).transpose(0, 2, 1)
     forms = np.ascontiguousarray((parts.reshape(4, 4).conj() @ twisted).real)
@@ -62,7 +57,7 @@ def _scan_forms(v) -> tuple[np.ndarray, np.ndarray]:
 def device_parts(v) -> np.ndarray:
     """The real forms Q[a, mu, nu] = Re Tr(sigma_a K_mu^dag K_nu), shape (4, 4, 4).
 
-    n^T Q[a] n = Tr(sigma_a S(n)^dag S(n)) for the K_mu of ``_bloch_parts``;
+    n^T Q[a] n = Tr(sigma_a S(n)^dag S(n)) for the K_mu = S(B_mu, v) of ``_scan_forms``;
     Q[0] is the Gram matrix of the K_mu.
     """
     return _scan_forms(v)[0]

@@ -50,11 +50,15 @@ def kron(a, b) -> np.ndarray:
     """Kronecker product; the (i,j) block row index is dim(b)*i + j."""
     a = as_matrix(a, "kron operand a")
     b = as_matrix(b, "kron operand b")
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > 4:
+    if (out_dim := a.shape[0] * b.shape[0]) > 4:
         raise DimensionError(f"kron result dimension {out_dim} exceeds supported size 4")
-    # broadcasting beats np.kron by ~5x at these sizes
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(out_dim, out_dim)
+    return _kron(a, b)
+
+
+def _kron(a, b) -> np.ndarray:
+    """Unvalidated ``kron`` of (..., m, m) and (..., n, n) stacks; 5x faster than np.kron."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-1] * b.shape[-1],) * 2)
 
 
 def partial_trace(m, subsystem: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DecompositionError, DimensionError
-from .matops import _is_real, assert_unitary, hermitian_eig, kron
+from .matops import _is_real, _kron, assert_unitary, hermitian_eig, kron
 from .pauli import (
     PAULI,
     TVector,
@@ -126,15 +126,18 @@ def canonical_gate(alpha) -> np.ndarray:
     return (SIGMA_BASIS * phases[..., None, :]) @ SIGMA_BASIS.conj().T
 
 
+def _s(u, v) -> np.ndarray:
+    """S(U, V) for arrays u (..., 2, 2) and v (..., 4, 4), leading axes broadcast; unvalidated."""
+    return np.einsum("...ab,...ajbl->...jl", u, np.conj(v).reshape(v.shape[:-2] + (2, 2, 2, 2)))
+
+
 def s_operator(u, v) -> np.ndarray:
     """S(U, V) = Tr_1[(U^T x I) V^*], the 2x2 core of the fidelity.
 
     For a canonical V this reduces to (1/2) sum_j e^{-i theta_j} sigma_j U sigma_j.
     """
     u = assert_unitary(u, 2, name="target unitary")
-    v = assert_unitary(v, 4, name="joint unitary")
-    vc = np.conj(v).reshape(2, 2, 2, 2)
-    return np.einsum("ab,ajbl->jl", u, vc)
+    return _s(u, assert_unitary(v, 4, name="joint unitary"))
 
 
 def fidelity_uv(u, v) -> tuple[float, np.ndarray]:
@@ -181,9 +184,11 @@ def optimal_interaction(sx_sign: int, sz_sign: int) -> np.ndarray:
 def _covariance_gap(u, w1, w2, w3, w4, v) -> tuple[np.ndarray, float]:
     """S(U, (W1 x W2) V (W3 x W4)) and its max entrywise gap to
     W2^* S(W1^dag U W3^dag, V) W4^*, which local-unitary covariance makes
-    equal; the rule holds when the gap is at most COVARIANCE_TOL."""
-    direct = s_operator(u, kron(w1, w2) @ v @ kron(w3, w4))
-    routed = np.conj(w2) @ s_operator(np.conj(w1).T @ u @ np.conj(w3).T, v) @ np.conj(w4)
+    equal; the rule holds when the gap is at most COVARIANCE_TOL.  Unvalidated;
+    on stacks of unitaries the gap is the largest over the stack."""
+    direct = _s(u, _kron(w1, w2) @ v @ _kron(w3, w4))
+    w1_dag, w3_dag = w1.conj().swapaxes(-1, -2), w3.conj().swapaxes(-1, -2)
+    routed = w2.conj() @ _s(w1_dag @ u @ w3_dag, v) @ w4.conj()
     return direct, float(np.max(np.abs(direct - routed)))
 
 
@@ -194,9 +199,10 @@ def covariance_transform(u, w1, w2, w3, w4, v) -> np.ndarray:
     W2^* S(W1^dag U W3^dag, V) W4^*; the two routes are compared before the
     matrix is returned.
     """
-    for name, w in (("w1", w1), ("w2", w2), ("w3", w3), ("w4", w4)):
-        assert_unitary(w, 2, name=name)
-    direct, gap = _covariance_gap(u, w1, w2, w3, w4, v)
+    ws = [assert_unitary(w, 2, name=f"w{i}") for i, w in enumerate((w1, w2, w3, w4), 1)]
+    u = assert_unitary(u, 2, name="target unitary")
+    v = assert_unitary(v, 4, name="joint unitary")
+    direct, gap = _covariance_gap(u, *ws, v)
     if gap > COVARIANCE_TOL:
         raise DecompositionError("covariance routes disagree", gap)
     return direct

@@ -105,12 +105,16 @@ class ScanResult:
     lower_bound: float
 
 
+def _haar_from_gaussian(a) -> np.ndarray:
+    """Haar-random unitaries from complex Gaussian draws (..., d, d): QR, then R's phases into Q."""
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (np.abs(diag) / diag)[..., None, :]
+
+
 def haar_unitary(dim: int, rng) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix."""
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(a)
-    diag = np.diag(r)
-    return q * (np.abs(diag) / diag)
+    return _haar_from_gaussian(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
 
 def _random_densities(rng, n: int) -> np.ndarray:

@@ -264,6 +264,24 @@ def hadamard_rows_loop(seed):
     return [(f"hadamard/{name}", "pass" if r <= tol else "fail", r, "") for name, r, tol in rows]
 
 
+def covariance_rows_loop(seed):
+    """``cli._verify_covariance_rows`` one sample at a time, kept as its reference.
+
+    Draws u, v and w1..w4 in turn, 50 times, and keeps the running maximum
+    gap of the two covariance routes from 0.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(50):
+        u = haar_unitary(2, rng)
+        v = haar_unitary(4, rng)
+        w1, w2, w3, w4 = (haar_unitary(2, rng) for _ in range(4))
+        direct = s_operator(u, kron(w1, w2) @ v @ kron(w3, w4))
+        routed = np.conj(w2) @ s_operator(np.conj(w1).T @ u @ np.conj(w3).T, v) @ np.conj(w4)
+        worst = max(worst, float(np.max(np.abs(direct - routed))))
+    return [("covariance/two-route", "pass" if worst <= 1e-12 else "fail", worst, "")]
+
+
 def scan_grid_loop(n):
     """The ``scan --alpha-grid n`` CSV text, one chamber point at a time, kept as its reference."""
     lines = ["a1,a2,a3,t0_sq,t1_sq,t2_sq,t3_sq,fidelity"]

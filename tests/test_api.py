@@ -9,6 +9,7 @@ without failing any other test.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import progchan
@@ -58,7 +59,6 @@ PUBLIC_API = [
     "obj_to_matrix",
     "optimal_interaction",
     "partial_trace",
-    "pauli",
     "program_channel",
     "program_overlap",
     "random_density",
@@ -104,6 +104,13 @@ def load_tracing():
 
 def test_all_is_pinned():
     assert sorted(progchan.__all__) == PUBLIC_API
+
+
+def test_pauli_is_the_submodule():
+    import progchan.pauli as p
+
+    assert p is sys.modules["progchan.pauli"]
+    assert progchan.pauli.PAULI is p.PAULI
 
 
 def test_every_export_resolves():

@@ -18,13 +18,13 @@ from progchan import (
     fidelity_uv,
     haar_unitary,
     optimal_interaction,
-    pauli,
     program_channel,
     program_overlap,
     random_density,
     s_operator,
 )
 from progchan.channels import CHOI_RANK_CUTOFF, _choi_matrix
+from progchan.pauli import pauli
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 I4 = np.eye(4)

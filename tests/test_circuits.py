@@ -19,12 +19,12 @@ from progchan import (
     haar_unitary,
     kraus_cirac_decompose,
     optimal_interaction,
-    pauli,
     verify_identities,
     worst_case_fidelity,
 )
 from progchan import circuits
 from progchan.circuits import cnot, gate_matrix, local, rotation
+from progchan.pauli import pauli
 
 I2 = np.eye(2, dtype=complex)
 

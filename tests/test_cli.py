@@ -1,9 +1,10 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import hadamard_rows_loop, scan_grid_loop, write_matrix
+from helpers import covariance_rows_loop, hadamard_rows_loop, scan_grid_loop, write_matrix
 
 from progchan import (
     ContractError,
@@ -13,11 +14,11 @@ from progchan import (
     haar_unitary,
     obj_to_matrix,
     optimal_interaction,
-    pauli,
     random_density,
 )
 from progchan import cli
 from progchan.cli import main
+from progchan.pauli import pauli
 
 
 @pytest.fixture
@@ -321,9 +322,31 @@ class TestStackedLoops:
         assert run(capsys, "scan", "--alpha-grid", n, "--out", out_path)[0] == 0
         assert out_path.read_bytes() == scan_grid_loop(n).encode()
 
+    def test_scan_csv_across_row_blocks(self, files, capsys, monkeypatch):
+        # blocks of 5 rows split every a1 slice of n = 9 but the first two
+        monkeypatch.setattr(cli, "_SCAN_BLOCK", 5)
+        out_path = files["tmp"] / "grid.csv"
+        assert run(capsys, "scan", "--alpha-grid", 9, "--out", out_path)[0] == 0
+        assert out_path.read_bytes() == scan_grid_loop(9).encode()
+
+    def test_scan_memory_is_bounded_by_the_row_block(self, files, capsys):
+        # a whole a1 slice held as Python lists peaked at 8 MiB here
+        tracemalloc.start()
+        try:
+            code = run(capsys, "scan", "--alpha-grid", 100, "--out", files["tmp"] / "grid.csv")[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 6 * 2**20
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_hadamard_rows_equal_the_sample_loop(self, seed):
         assert cli._verify_hadamard_rows(seed) == hadamard_rows_loop(seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_covariance_rows_equal_the_sample_loop(self, seed):
+        assert cli._verify_covariance_rows(seed) == covariance_rows_loop(seed)
 
 
 class TestCountBounds:

@@ -11,6 +11,7 @@ from helpers import (
     einsum_fidelity_batch,
     parts_and_forms,
     perfbench_inputs,
+    random_chamber_alpha,
 )
 from progchan import (
     PAULI,
@@ -23,7 +24,7 @@ from progchan import (
     s_operator,
     sample_su2,
 )
-from progchan import _scan_py, kernels
+from progchan import _scan_py, kernels, minimax
 from progchan.circuits import cnot, gate_matrix
 from progchan.kernels import (
     backend_name,
@@ -245,6 +246,30 @@ class TestForms:
     @staticmethod
     def same_bits(a, b):
         return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_parts_are_s_of_the_bloch_basis(self):
+        v = haar_unitary(4, np.random.default_rng(18))
+        parts = minimax._s(kernels._BLOCH_BASIS, v)
+        assert parts.shape == (4, 2, 2)
+        assert all(np.array_equal(k, s_operator(b, v)) for k, b in zip(parts, kernels._BLOCH_BASIS))
+        assert not kernels._BLOCH_BASIS.flags.writeable
+
+    def test_scan_forms_keep_the_einsum_bits(self):
+        # parts_and_forms builds the K_mu by einsum("mab,ajbl->mjl", basis, v^*),
+        # the formula the K_mu had before they became S of the Bloch basis
+        rng = np.random.default_rng(19)
+        devices = [haar_unitary(4, rng) for _ in range(100)]
+        devices += [canonical_gate(random_chamber_alpha(rng)) for _ in range(100)]
+        devices += [dressed(random_chamber_alpha(rng), rng) for _ in range(100)]
+        inputs = perfbench_inputs()
+        for seed, mix in ((7, inputs.ORACLE_MIX), (11, inputs.CLOSED_FORM_MIX)):
+            stream = inputs.device_stream(seed, mix)
+            devices += [next(stream).v for _ in range(300)]
+        for v in devices:
+            forms, det = kernels._scan_forms(v)
+            parts, want = parts_and_forms(v)
+            assert self.same_bits(forms, want)
+            assert self.same_bits(det, det_form(parts))
 
     def test_scan_forms_match_reference_bit_for_bit(self):
         # Q and D from one validated read of v, against the route that built

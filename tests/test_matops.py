@@ -15,7 +15,6 @@ from progchan import (
     kron,
     matrix_to_bloch,
     partial_trace,
-    pauli,
     program_channel,
     program_overlap,
     random_density,
@@ -29,6 +28,7 @@ from progchan.matops import (
     density_mask,
     hermitian_eig,
 )
+from progchan.pauli import pauli
 
 I2 = np.eye(2)
 I4 = np.eye(4)
@@ -291,6 +291,7 @@ class TestInputContract:
             (lambda: device_parts(I2), "joint unitary"),
             (lambda: channel_fidelity(I4, KrausChannel((I2,))), "target unitary"),
             (lambda: covariance_transform(I2, I4, I2, I2, I2, I4), "w1"),
+            (lambda: covariance_transform(I2, I2, I2, I2, I2, I2), "joint unitary"),
             (lambda: circuits.local(0, I4), "local gate"),
             (lambda: matrix_to_bloch(I4), "bloch input"),
             (lambda: program_overlap(I2, I4, I4 / 4), "program state"),
@@ -303,6 +304,7 @@ class TestInputContract:
             "device_parts",
             "channel_fidelity",
             "covariance_transform",
+            "covariance_transform_device",
             "local_gate",
             "matrix_to_bloch",
             "program_overlap",

@@ -28,13 +28,13 @@ from progchan import (
     hadamard_t,
     kron,
     optimal_interaction,
-    pauli,
     program_overlap,
     random_density,
     s_operator,
     theta_from_alpha,
     worst_case_fidelity,
 )
+from progchan.pauli import pauli
 
 I2 = np.eye(2)
 I4 = np.eye(4)
@@ -113,6 +113,14 @@ class TestSOperator:
     def test_optimal_device_sigma_x(self):
         s = s_operator(pauli(1), optimal_interaction(1, 1))
         assert np.linalg.norm(s, 2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_stacked_core_equals_single_calls(self):
+        rng = np.random.default_rng(16)
+        us = np.array([haar_unitary(2, rng) for _ in range(300)])
+        vs = np.array([haar_unitary(4, rng) for _ in range(300)])
+        stacked = minimax._s(us, vs)
+        assert stacked.shape == (300, 2, 2)
+        assert all(np.array_equal(s, s_operator(u, v)) for s, u, v in zip(stacked, us, vs))
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ContractError):
@@ -393,6 +401,14 @@ class TestCovariance:
         got = covariance_transform(u, *ws, I4)
         inner = np.trace(ws[0].conj().T @ u @ ws[2].conj().T)
         np.testing.assert_allclose(got, inner * np.conj(ws[1]) @ np.conj(ws[3]), atol=1e-12)
+
+    def test_stacked_gap_is_the_largest_single_gap(self):
+        rng = np.random.default_rng(17)
+        draws = [[haar_unitary(d, rng) for d in (2, 2, 2, 2, 2, 4)] for _ in range(40)]
+        singles = [minimax._covariance_gap(*args) for args in draws]
+        direct, gap = minimax._covariance_gap(*map(np.array, zip(*draws)))
+        assert all(np.array_equal(d, one) for d, (one, _) in zip(direct, singles))
+        assert gap == max(g for _, g in singles)
 
     def test_random_everything(self):
         rng = np.random.default_rng(15)

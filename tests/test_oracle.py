@@ -31,7 +31,6 @@ from progchan import (
     haar_unitary,
     minimax_scan,
     optimal_interaction,
-    pauli,
     program_overlap,
     random_density,
     s_operator,
@@ -42,6 +41,7 @@ from progchan import (
 from progchan import kernels, oracle
 from progchan.kernels import device_parts, fidelity_from_bloch_batch
 from progchan.oracle import _ALPHAS, AXIS_POINTS, _random_densities
+from progchan.pauli import pauli
 
 
 # the sweep reads each point off the rotation table's coordinates, so it
@@ -699,6 +699,15 @@ class TestProgramOverlapStack:
     def test_stack_shape_checked(self):
         with pytest.raises(DimensionError):
             program_overlap(np.eye(2), np.eye(4), np.zeros((3, 4, 4)))
+
+
+def test_haar_stack_equals_single_draws():
+    # a (30, 2, d, d) draw consumes the generator as 30 haar_unitary calls would
+    for dim in (2, 4):
+        gauss = np.random.default_rng(dim).normal(size=(30, 2, dim, dim))
+        stack = oracle._haar_from_gaussian(gauss[:, 0] + 1j * gauss[:, 1])
+        rng = np.random.default_rng(dim)
+        assert all(np.array_equal(u, haar_unitary(dim, rng)) for u in stack)
 
 
 class TestRandomDensity:

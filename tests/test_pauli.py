@@ -16,10 +16,9 @@ from progchan import (
     haar_unitary,
     hadamard_t,
     matrix_to_bloch,
-    pauli,
     theta_from_alpha,
 )
-from progchan.pauli import hadamard_t_contract, wrap_phase
+from progchan.pauli import hadamard_t_contract, pauli, wrap_phase
 
 angles = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
 theta_vectors = st.lists(angles, min_size=4, max_size=4).map(np.array)
