@@ -17,7 +17,6 @@ from .channels import (
     program_overlap,
 )
 from .circuits import (
-    Circuit,
     Gate,
     IdentityCheck,
     build_general_circuit,
@@ -78,7 +77,6 @@ __all__ = [
     "distance",
     "program_channel",
     "program_overlap",
-    "Circuit",
     "Gate",
     "IdentityCheck",
     "build_general_circuit",

@@ -9,12 +9,12 @@ first, so the circuit matrix is the right-to-left product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, SynthesisError
-from .matops import _is_integer, _is_real, assert_unitary, equal_up_to_global_phase
+from .matops import _is_integer, _is_real, _kron, assert_unitary, equal_up_to_global_phase
 from .minimax import CanonicalForm, optimal_interaction
 from .pauli import PAULI
 
@@ -46,6 +46,13 @@ class Gate:
             if not _is_integer(w) or w not in (0, 1):
                 raise DimensionError(f"wire index must be 0 or 1, got {w!r}")
         object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
+        if self.kind not in ROTATION_KINDS and self.kind not in ("cnot", "local"):
+            raise ContractError(f"unknown gate kind {self.kind!r}")
+        # a field the kind ignores would be dropped silently by gate_matrix and format_circuit
+        if self.angle is not None and self.kind not in ROTATION_KINDS:
+            raise ContractError(f"{self.kind} takes no angle, got {self.angle!r}")
+        if self.matrix is not None and self.kind != "local":
+            raise ContractError(f"{self.kind} takes no matrix")
         if self.kind == "cnot":
             if len(self.wires) != 2 or self.wires[0] == self.wires[1]:
                 raise ContractError("cnot needs distinct control and target wires")
@@ -56,12 +63,10 @@ class Gate:
             if not _is_real(angle) or not math.isfinite(angle):
                 raise ContractError(f"{self.kind} angle must be a finite real, got {angle!r}")
             object.__setattr__(self, "angle", float(angle))
-        elif self.kind == "local":
+        else:
             if len(self.wires) != 1 or self.matrix is None:
                 raise ContractError("local needs one wire and a matrix")
             object.__setattr__(self, "matrix", assert_unitary(self.matrix, 2, name="local gate"))
-        else:
-            raise ContractError(f"unknown gate kind {self.kind!r}")
 
 
 def rotation(kind: str, wire: int, angle: float) -> Gate:
@@ -76,18 +81,8 @@ def local(wire: int, matrix) -> Gate:
     return Gate(kind="local", wires=(wire,), matrix=np.asarray(matrix, dtype=complex))
 
 
-@dataclass(frozen=True)
-class Circuit:
-    gates: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-
-
 def _embed(g2, wire: int) -> np.ndarray:
-    if wire == 0:
-        return np.kron(g2, np.eye(2))
-    return np.kron(np.eye(2), g2)
+    return _kron(g2, PAULI[0]) if wire == 0 else _kron(PAULI[0], g2)
 
 
 def gate_matrix(g: Gate) -> np.ndarray:
@@ -106,10 +101,10 @@ def gate_matrix(g: Gate) -> np.ndarray:
     return _embed(g.matrix, g.wires[0])
 
 
-def circuit_matrix(c: Circuit) -> np.ndarray:
-    """Right-to-left product of the gate matrices (leftmost gate acts first)."""
+def circuit_matrix(gates) -> np.ndarray:
+    """Right-to-left product of a sequence of gate matrices (leftmost gate acts first)."""
     m = np.eye(4, dtype=complex)
-    for g in c.gates:
+    for g in gates:
         m = gate_matrix(g) @ m
     return m
 
@@ -123,16 +118,16 @@ def _locals_pair(w_sys, w_anc) -> list:
     return gates
 
 
-def _checked(circuit: Circuit, target, tol: float, message: str) -> Circuit:
-    """``circuit``, once its matrix equals ``target`` up to global phase within
+def _checked(gates: tuple, target, tol: float, message: str) -> tuple:
+    """``gates``, once their matrix equals ``target`` up to global phase within
     ``tol``; otherwise SynthesisError with the max entrywise deviation."""
-    built = circuit_matrix(circuit)
+    built = circuit_matrix(gates)
     if not equal_up_to_global_phase(built, target, tol):
         raise SynthesisError(message, float(np.max(np.abs(built - target))))
-    return circuit
+    return gates
 
 
-def build_general_circuit(cf: CanonicalForm) -> Circuit:
+def build_general_circuit(cf: CanonicalForm) -> tuple[Gate, ...]:
     """Four-CNOT template realizing (W1 x W2) canonical_gate(alpha) (W3 x W4).
 
     The inner CNOT sandwiches turn single-wire rotations into the three
@@ -141,9 +136,8 @@ def build_general_circuit(cf: CanonicalForm) -> Circuit:
     spectral-synthesis target before it is returned.
     """
     a1, a2, a3 = cf.alpha
-    gates = []
-    gates += _locals_pair(cf.w3, cf.w4)
-    gates += [
+    gates = (
+        *_locals_pair(cf.w3, cf.w4),
         cnot(),
         rotation("xrot", 0, a1),
         rotation("zrot", 1, a3),
@@ -155,25 +149,21 @@ def build_general_circuit(cf: CanonicalForm) -> Circuit:
         cnot(),
         rotation("zrot", 0, np.pi / 4),
         rotation("zrot", 1, np.pi / 4),
-    ]
-    gates += _locals_pair(cf.w1, cf.w2)
-    circuit = Circuit(tuple(gates))
-    target = cf.reconstruct()
-    return _checked(circuit, target, 1e-10, "general circuit does not reproduce its target")
+        *_locals_pair(cf.w1, cf.w2),
+    )
+    return _checked(gates, cf.reconstruct(), 1e-10, "general circuit does not reproduce its target")
 
 
-def build_optimal_circuit(sx_sign: int, sz_sign: int) -> Circuit:
+def build_optimal_circuit(sx_sign: int, sz_sign: int) -> tuple[Gate, ...]:
     """CNOT . (X_{sx pi/4} x Z_{sz pi/4}) . CNOT, the two-CNOT optimal device."""
-    circuit = Circuit(
-        (
-            cnot(),
-            rotation("xrot", 0, sx_sign * np.pi / 4),
-            rotation("zrot", 1, sz_sign * np.pi / 4),
-            cnot(),
-        )
+    gates = (
+        cnot(),
+        rotation("xrot", 0, sx_sign * np.pi / 4),
+        rotation("zrot", 1, sz_sign * np.pi / 4),
+        cnot(),
     )
     target = optimal_interaction(sx_sign, sz_sign)
-    return _checked(circuit, target, 1e-12, "optimal circuit does not reproduce its target")
+    return _checked(gates, target, 1e-12, "optimal circuit does not reproduce its target")
 
 
 @dataclass(frozen=True)
@@ -207,42 +197,27 @@ def verify_identities(tol: float = 1e-12) -> list[IdentityCheck]:
     The Z-conjugation identity is printed in the literature with a minus
     sign; the check records whichever sign actually holds.
     """
-    results = []
-    c = CNOT_01
-
-    resid = 0.0
-    for a in (1, 2, 3):
-        for b in (1, 2, 3):
-            lhs = np.kron(PAULI[a], PAULI[a]) @ np.kron(PAULI[b], PAULI[b])
-            rhs = np.kron(PAULI[b], PAULI[b]) @ np.kron(PAULI[a], PAULI[a])
-            resid = max(resid, float(np.max(np.abs(lhs - rhs))))
-    results.append(IdentityCheck("pauli-pair-commutation", resid <= tol, resid))
-
-    got = c @ np.kron(PAULI[1], np.eye(2)) @ c
-    resid = float(np.max(np.abs(got - np.kron(PAULI[1], PAULI[1]))))
-    results.append(IdentityCheck("cnot-x-conjugation", resid <= tol, resid))
-
-    got = c @ np.kron(np.eye(2), PAULI[3]) @ c
-    printed = float(np.max(np.abs(got + np.kron(PAULI[3], PAULI[3]))))  # printed sign: -ZZ
-    flipped = float(np.max(np.abs(got - np.kron(PAULI[3], PAULI[3]))))
-    if printed <= tol:
-        results.append(IdentityCheck("cnot-z-conjugation", True, printed))
-    else:
-        corrected = flipped if flipped <= tol else None
-        sign = "C (I x Z) C = +Z x Z"
-        results.append(IdentityCheck("cnot-z-conjugation", False, printed, sign, corrected))
-
+    c, x_i, i_z = CNOT_01, _kron(PAULI[1], PAULI[0]), _kron(PAULI[0], PAULI[3])
+    xx, yy, zz = pairs = _kron(PAULI[1:], PAULI[1:])
+    products = pairs[:, None] @ pairs  # products[a, b] = P_a P_b for P = XX, YY, ZZ
     zq = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
-    lhs = (
-        np.kron(zq, zq)
-        @ c
-        @ np.kron(PAULI[1], np.eye(2))
-        @ c
-        @ np.kron(zq.conj().T, zq.conj().T)
+    zq_dag = zq.conj().T
+    # name, left side, right side as printed, and the corrected (text, right side) if any
+    table = (
+        ("pauli-pair-commutation", products, products.swapaxes(0, 1), None),
+        ("cnot-x-conjugation", c @ x_i @ c, xx, None),
+        ("cnot-z-conjugation", c @ i_z @ c, -zz, ("C (I x Z) C = +Z x Z", zz)),
+        ("z-rotated-xx-to-yy", _kron(zq, zq) @ c @ x_i @ c @ _kron(zq_dag, zq_dag), yy, None),
     )
-    resid = float(np.max(np.abs(lhs - np.kron(PAULI[2], PAULI[2]))))
-    results.append(IdentityCheck("z-rotated-xx-to-yy", resid <= tol, resid))
-
+    results = []
+    for ident, lhs, rhs, corrected in table:
+        resid = float(np.max(np.abs(lhs - rhs)))
+        if resid <= tol or corrected is None:
+            results.append(IdentityCheck(ident, resid <= tol, resid))
+        else:
+            fixed = float(np.max(np.abs(lhs - corrected[1])))
+            fixed = fixed if fixed <= tol else None
+            results.append(IdentityCheck(ident, False, resid, corrected[0], fixed))
     return results
 
 
@@ -251,10 +226,10 @@ def verify_identities(tol: float = 1e-12) -> list[IdentityCheck]:
 # ---------------------------------------------------------------------------
 
 
-def format_circuit(c: Circuit) -> str:
-    """One line per gate; angles print as repr() so they read back exactly."""
+def format_circuit(gates) -> str:
+    """One line per gate of a sequence; angles print as repr() so they read back exactly."""
     lines = []
-    for g in c.gates:
+    for g in gates:
         if g.kind == "cnot":
             lines.append(f"CNOT {g.wires[0]} {g.wires[1]}")
         elif g.kind in ROTATION_KINDS:

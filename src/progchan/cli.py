@@ -35,8 +35,8 @@ from .pauli import HADAMARD, _hadamard_t_raw, bloch_to_matrix, hadamard_t, hadam
 from .pauli import _MIN_BOUND_TOL, _SUM_RULE_TOL
 
 DEFAULT_SEED_ENV = "PROGCHAN_SEED"
-#: largest --alpha-grid: a CSV of ~n^3 / 3 rows, 41.8M rows and ~6.5 GB at 500
-MAX_ALPHA_GRID = 500
+#: largest --alpha-grid; it caps the CSV, not memory: n(n+1)(2n+1)/6 = 2.69M rows, ~0.42 GB at 200
+MAX_ALPHA_GRID = 200
 # rows of the scan's CSV mapped and written at a time, so its memory does not grow with n
 _SCAN_BLOCK = 4096
 

@@ -16,7 +16,6 @@ import progchan
 
 PUBLIC_API = [
     "CanonicalForm",
-    "Circuit",
     "ContractError",
     "DecompositionError",
     "DimensionError",

@@ -4,7 +4,6 @@ from helpers import is_unitary, random_chamber_alpha
 
 from progchan import (
     CanonicalForm,
-    Circuit,
     ContractError,
     DimensionError,
     Gate,
@@ -31,6 +30,58 @@ I2 = np.eye(2, dtype=complex)
 
 def identity_form(alpha):
     return CanonicalForm(np.asarray(alpha, dtype=float), I2, I2, I2, I2)
+
+
+def kron_gate_matrix(g):
+    """A gate's 4x4 matrix with its single-wire factor embedded by np.kron."""
+    if g.kind == "cnot":
+        return gate_matrix(g)
+    if g.kind == "local":
+        g2 = g.matrix
+    else:
+        sigma = pauli(circuits.ROTATION_KINDS[g.kind])
+        g2 = np.cos(g.angle) * np.eye(2) + 1j * np.sin(g.angle) * sigma
+    return np.kron(g2, np.eye(2)) if g.wires[0] == 0 else np.kron(np.eye(2), g2)
+
+
+def kron_identities(tol=1e-12):
+    """The identity audit written out one identity at a time with np.kron."""
+    results = []
+    c = circuits.CNOT_01
+
+    resid = 0.0
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            lhs = np.kron(pauli(a), pauli(a)) @ np.kron(pauli(b), pauli(b))
+            rhs = np.kron(pauli(b), pauli(b)) @ np.kron(pauli(a), pauli(a))
+            resid = max(resid, float(np.max(np.abs(lhs - rhs))))
+    results.append(IdentityCheck("pauli-pair-commutation", resid <= tol, resid))
+
+    got = c @ np.kron(pauli(1), np.eye(2)) @ c
+    resid = float(np.max(np.abs(got - np.kron(pauli(1), pauli(1)))))
+    results.append(IdentityCheck("cnot-x-conjugation", resid <= tol, resid))
+
+    got = c @ np.kron(np.eye(2), pauli(3)) @ c
+    printed = float(np.max(np.abs(got + np.kron(pauli(3), pauli(3)))))
+    flipped = float(np.max(np.abs(got - np.kron(pauli(3), pauli(3)))))
+    if printed <= tol:
+        results.append(IdentityCheck("cnot-z-conjugation", True, printed))
+    else:
+        corrected = flipped if flipped <= tol else None
+        sign = "C (I x Z) C = +Z x Z"
+        results.append(IdentityCheck("cnot-z-conjugation", False, printed, sign, corrected))
+
+    zq = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
+    lhs = (
+        np.kron(zq, zq)
+        @ c
+        @ np.kron(pauli(1), np.eye(2))
+        @ c
+        @ np.kron(zq.conj().T, zq.conj().T)
+    )
+    resid = float(np.max(np.abs(lhs - np.kron(pauli(2), pauli(2)))))
+    results.append(IdentityCheck("z-rotated-xx-to-yy", resid <= tol, resid))
+    return results
 
 
 class TestGateMatrix:
@@ -92,6 +143,26 @@ class TestGateMatrix:
         with pytest.raises(ContractError, match="xrot (needs one wire and an angle|angle must be)"):
             rotation("xrot", 0, angle)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "cnot", "wires": (0, 1), "angle": 0.3}, "cnot takes no angle"),
+            ({"kind": "cnot", "wires": (0, 1), "matrix": I2}, "cnot takes no matrix"),
+            (
+                {"kind": "xrot", "wires": (0,), "angle": 0.1, "matrix": np.ones((3, 3))},
+                "xrot takes no matrix",
+            ),
+            (
+                {"kind": "local", "wires": (1,), "angle": np.nan, "matrix": I2},
+                "local takes no angle",
+            ),
+        ],
+    )
+    def test_field_of_another_kind_rejected(self, fields, message):
+        # gate_matrix and format_circuit would drop the stray field silently
+        with pytest.raises(ContractError, match=message):
+            Gate(**fields)
+
     def test_real_angles_stored_as_float(self):
         for angle in (np.float64(0.25), np.float32(0.5), 2, np.int64(-1)):
             gate = rotation("zrot", 1, angle)
@@ -100,29 +171,54 @@ class TestGateMatrix:
 
 class TestCircuitMatrix:
     def test_empty(self):
-        np.testing.assert_array_equal(circuit_matrix(Circuit(())), np.eye(4))
+        np.testing.assert_array_equal(circuit_matrix(()), np.eye(4))
 
     def test_cnot_pair(self):
-        c = Circuit((cnot(), cnot()))
+        c = (cnot(), cnot())
         np.testing.assert_allclose(circuit_matrix(c), np.eye(4), atol=1e-15)
 
     def test_temporal_order(self):
         # leftmost gate acts first: matrix is later @ earlier
-        c = Circuit((rotation("xrot", 0, 0.3), rotation("zrot", 0, 0.7)))
+        c = (rotation("xrot", 0, 0.3), rotation("zrot", 0, 0.7))
         want = gate_matrix(rotation("zrot", 0, 0.7)) @ gate_matrix(rotation("xrot", 0, 0.3))
         np.testing.assert_allclose(circuit_matrix(c), want, atol=1e-15)
 
     def test_always_unitary(self):
         rng = np.random.default_rng(0)
-        c = Circuit(
-            (
-                local(0, haar_unitary(2, rng)),
-                cnot(),
-                rotation("yrot", 1, 1.234),
-                local(1, haar_unitary(2, rng)),
-            )
+        c = (
+            local(0, haar_unitary(2, rng)),
+            cnot(),
+            rotation("yrot", 1, 1.234),
+            local(1, haar_unitary(2, rng)),
         )
         assert is_unitary(circuit_matrix(c), 1e-12)
+
+
+class TestBuilderOutput:
+    def test_builders_return_tuples_of_gates(self):
+        general = build_general_circuit(identity_form([0.3, 0.2, 0.1]))
+        optimal = build_optimal_circuit(1, -1)
+        assert type(general) is tuple and type(optimal) is tuple
+        assert all(isinstance(g, Gate) for g in general + optimal)
+
+    def test_list_of_gates_accepted(self):
+        gates = build_general_circuit(identity_form([0.3, 0.2, 0.1]))
+        np.testing.assert_array_equal(circuit_matrix(list(gates)), circuit_matrix(gates))
+        assert format_circuit(list(gates)) == format_circuit(gates)
+
+    def test_bits_match_np_kron(self):
+        # 200 decomposed Haar devices, with their local gates, and the four optimal circuits
+        rng = np.random.default_rng(28)
+        circuits_built = [
+            build_general_circuit(kraus_cirac_decompose(haar_unitary(4, rng))) for _ in range(200)
+        ]
+        circuits_built += [build_optimal_circuit(sx, sz) for sx in (1, -1) for sz in (1, -1)]
+        for gates in circuits_built:
+            want = np.eye(4, dtype=complex)
+            for g in gates:
+                assert np.array_equal(gate_matrix(g), kron_gate_matrix(g))
+                want = kron_gate_matrix(g) @ want
+            assert np.array_equal(circuit_matrix(gates), want)
 
 
 class TestGeneralCircuit:
@@ -154,7 +250,7 @@ class TestGeneralCircuit:
         w = [haar_unitary(2, rng) for _ in range(4)]
         form = CanonicalForm(np.array([0.2, 0.1, 0.05]), *w)
         c = build_general_circuit(form)
-        assert sum(1 for g in c.gates if g.kind == "local") == 4
+        assert sum(1 for g in c if g.kind == "local") == 4
         assert equal_up_to_global_phase(circuit_matrix(c), form.reconstruct(), 1e-10)
 
 
@@ -223,6 +319,11 @@ class TestIdentities:
         assert zrow.verdict == ("holds-with-corrected-sign", zrow.corrected_residual)
         assert rows["cnot-x-conjugation"].verdict[0] == "pass"
 
+    @pytest.mark.parametrize("tol", [1e-12, 0.0, 3.0])
+    def test_audit_matches_np_kron(self, tol):
+        # at 0.0 the z-rotated residual fails; at 3.0 the printed Z sign passes
+        assert verify_identities(tol) == kron_identities(tol)
+
     def test_verdict(self):
         printed = IdentityCheck("a", True, 1e-16)
         corrected = IdentityCheck("b", False, 2.0, "fixed", 3e-16)
@@ -243,12 +344,12 @@ class TestTextFormat:
             "CNOT 0 1",
         ]
         # angles print as repr(), which reads back to the same float
-        assert [float(line.split()[2]) for line in lines[1:3]] == [g.angle for g in c.gates[1:3]]
+        assert [float(line.split()[2]) for line in lines[1:3]] == [g.angle for g in c[1:3]]
 
     def test_local_gate_rejected(self):
-        c = Circuit((local(0, np.eye(2)),))
+        c = (local(0, np.eye(2)),)
         with pytest.raises(ContractError, match="local gate"):
             format_circuit(c)
 
     def test_empty(self):
-        assert format_circuit(Circuit(())) == ""
+        assert format_circuit(()) == ""

@@ -359,8 +359,8 @@ class TestCountBounds:
             (("oracle", "--resolution", "100000001"), "MAX_RESOLUTION = 100000000"),
             (("oracle", "--sigma-samples", "1000000000000000"), "MAX_SIGMA_SAMPLES = 1000000"),
             (("oracle", "--sigma-samples", "1000001"), "MAX_SIGMA_SAMPLES = 1000000"),
-            (("scan", "--alpha-grid", "1000000000000"), "MAX_ALPHA_GRID = 500"),
-            (("scan", "--alpha-grid", "501"), "MAX_ALPHA_GRID = 500"),
+            (("scan", "--alpha-grid", "1000000000000"), "MAX_ALPHA_GRID = 200"),
+            (("scan", "--alpha-grid", "201"), "MAX_ALPHA_GRID = 200"),
         ],
     )
     def test_count_above_its_bound(self, files, capsys, argv, bound):
