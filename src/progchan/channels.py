@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import ContractError
 from .matops import (
-    _is_real, as_matrix, assert_density, assert_unitary, hermitian_eig, kron, partial_trace
+    _ENTRY_BOUND, _is_real, as_matrix, assert_density, assert_unitary, hermitian_eig, kron,
+    partial_trace,
 )
 from .minimax import s_operator
 
@@ -34,9 +35,9 @@ class KrausChannel:
         if not ops:
             raise ContractError("Kraus family must be non-empty")
         # a complete family's entries are within 1 in modulus, so a real or
-        # imaginary part beyond 2 fails before the product below can meet an
-        # infinity, NaN or overflow; "not <=" fails the NaN maximum too
-        if not np.max(np.abs(np.array(ops).view(float))) <= 2.0:
+        # imaginary part beyond _ENTRY_BOUND fails before the product below can
+        # meet an infinity, NaN or overflow; "not <=" fails the NaN maximum too
+        if not np.max(np.abs(np.array(ops).view(float))) <= _ENTRY_BOUND:
             raise ContractError("Kraus family not complete: an entry is not finite or beyond 2")
         object.__setattr__(self, "ops", ops)
         defect = self.completeness_defect()
@@ -48,7 +49,7 @@ class KrausChannel:
         return float(np.max(np.abs(acc - np.eye(2))))
 
     def apply(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
+        rho = as_matrix(rho, "input state", (2,))
         return sum(k @ rho @ k.conj().T for k in self.ops)
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -34,23 +33,10 @@ from .minimax import (  # noqa: F401
 from .pauli import HADAMARD, _hadamard_t_raw, bloch_to_matrix, hadamard_t, hadamard_t_contract
 from .pauli import _MIN_BOUND_TOL, _SUM_RULE_TOL
 
-DEFAULT_SEED_ENV = "PROGCHAN_SEED"
 #: largest --alpha-grid; it caps the CSV, not memory: n(n+1)(2n+1)/6 = 2.69M rows, ~0.42 GB at 200
 MAX_ALPHA_GRID = 200
 # rows of the scan's CSV mapped and written at a time, so its memory does not grow with n
 _SCAN_BLOCK = 4096
-
-
-def _resolve_seed(flag) -> int:
-    """The --seed flag, else PROGCHAN_SEED, else 0; never negative."""
-    raw = os.environ.get(DEFAULT_SEED_ENV, "0")
-    try:
-        seed = int(raw) if flag is None else flag
-    except ValueError:
-        raise MatrixFormatError(f"{DEFAULT_SEED_ENV} must be an integer, got {raw!r}")
-    if seed < 0:
-        raise MatrixFormatError(f"--seed and {DEFAULT_SEED_ENV} must be >= 0, got {seed}")
-    return seed
 
 
 def _write(text: str, out_path=None) -> None:
@@ -205,6 +191,7 @@ def _verify_hadamard_rows(seed: int) -> list:
 
 
 def _cmd_verify(args) -> int:
+    oracle._check_count("seed", args.seed)  # the rule ScanConfig applies to the oracle's seed
     rows = []
     if args.suite in ("identities", "all"):
         rows += _verify_identities_rows()
@@ -322,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite", choices=("identities", "covariance", "hadamard", "all"), default="all"
     )
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force minimax scan of a device")
     p.add_argument("--v", required=True)
     p.add_argument("--resolution", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma-samples", type=int, default=1000)
     p.add_argument("--csv", help="write a per-sample trace CSV")
     p.add_argument("--out")
@@ -349,8 +336,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if hasattr(args, "seed"):
-            args.seed = _resolve_seed(args.seed)
         return args.func(args)
     except (MatrixFormatError, ContractError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

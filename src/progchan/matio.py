@@ -49,7 +49,7 @@ def obj_to_matrix(obj) -> np.ndarray:
 
 def load_matrix(path) -> np.ndarray:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # a missing file, or one that is no UTF-8 text
         raise MatrixFormatError(f"cannot read matrix file {path}: {exc}") from exc
     try:

@@ -21,7 +21,8 @@ SUPPORTED_DIMS = (2, 4)
 ALGEBRA_TOL = 1e-12
 #: tolerance for decomposition residuals
 DECOMP_TOL = 1e-10
-# no entry of a density matrix has a real or imaginary part this large
+# no entry of a unitary, a density matrix, a complete Kraus family or a Bloch
+# vector has a real or imaginary part this large; checked before any product
 _ENTRY_BOUND = 2.0
 
 
@@ -68,11 +69,9 @@ def partial_trace(m, subsystem: int) -> np.ndarray:
     removes the first factor, ``subsystem=2`` the second.
     """
     r = as_matrix(m, "partial_trace operand", (4,)).reshape(2, 2, 2, 2)
-    if subsystem == 1:
-        return np.einsum("ijil->jl", r)
-    if subsystem == 2:
-        return np.einsum("ijkj->ik", r)
-    raise DimensionError(f"subsystem must be 1 or 2, got {subsystem}")
+    if not _is_integer(subsystem) or subsystem not in (1, 2):
+        raise DimensionError(f"subsystem must be 1 or 2, got {subsystem!r}")
+    return np.einsum("ijil->jl" if subsystem == 1 else "ijkj->ik", r)
 
 
 def _min_eigenvalue_2x2(ms) -> np.ndarray:
@@ -115,8 +114,10 @@ def density_mask(ms) -> np.ndarray:
 def assert_unitary(m, dim: int, name: str = "matrix") -> np.ndarray:
     """A dim x dim unitary, or DimensionError / ContractError naming ``name``."""
     m = as_matrix(m, name, (dim,))
-    # written as "not <=" so that a NaN fails the check
-    if not np.max(np.abs(m.conj().T @ m - np.eye(dim))) <= DECOMP_TOL:
+    # a part beyond _ENTRY_BOUND fails before the product can overflow;
+    # written as "<=" inside "not" so that a NaN fails the check
+    bounded = np.abs(np.ascontiguousarray(m).view(float)).max() <= _ENTRY_BOUND
+    if not (bounded and np.max(np.abs(m.conj().T @ m - np.eye(dim))) <= DECOMP_TOL):
         raise ContractError(f"{name} is not unitary at tolerance {DECOMP_TOL:g}")
     return m
 

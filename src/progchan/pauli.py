@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .matops import _is_integer, assert_unitary
+from .matops import _ENTRY_BOUND, _is_integer, assert_unitary
 
 PAULI = np.array(
     [
@@ -57,9 +57,12 @@ def wrap_phase(theta):
 
 def assert_bloch(n) -> np.ndarray:
     """A real 4-vector on S^3, or DimensionError / ContractError (NaN included)."""
-    n = np.asarray(n, dtype=float).reshape(-1)
-    if n.size != 4:
-        raise DimensionError(f"Bloch vector must have 4 components, got {n.size}")
+    n = np.asarray(n, dtype=float)
+    if n.shape != (4,):
+        raise DimensionError(f"Bloch vector must have shape (4,), got {n.shape}")
+    # a component beyond _ENTRY_BOUND fails before n @ n can overflow
+    if not np.max(np.abs(n)) <= _ENTRY_BOUND:
+        raise ContractError("Bloch vector is not on S^3: a component is not finite or beyond 2")
     if not abs(n @ n - 1.0) <= S3_TOL:
         raise ContractError(f"Bloch vector is not on S^3: |n|^2 = {float(n @ n)!r}")
     return n

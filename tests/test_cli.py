@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,12 +250,6 @@ class TestOracleVerb:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
-    def test_env_seed(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("PROGCHAN_SEED", "17")
-        code, out, _ = run(capsys, "oracle", "--v", files["v_id"], "--resolution", "500")
-        assert code == 0
-        assert json.loads(out)["seed"] == 17
-
     def test_witness_on_haar_device(self, files, capsys):
         args = ("oracle", "--v", files["v_haar"], "--resolution", "500", "--seed", "2")
         code, out, _ = run(capsys, *args)
@@ -286,13 +284,25 @@ class TestSeedValidation:
         inputs = ["--v", files["v_id"]] if verb == "oracle" else []
         code, out, err = run(capsys, verb, *inputs, "--seed", "-1")
         assert code == 2 and out == ""
-        assert "must be >= 0, got -1" in err
+        assert err == "error: seed must be >= 0, got -1\n"
 
-    def test_negative_env(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("PROGCHAN_SEED", "-4")
-        code, out, err = run(capsys, "verify")
-        assert code == 2 and out == ""
-        assert "PROGCHAN_SEED must be >= 0, got -4" in err
+    @pytest.mark.parametrize(
+        "argv, default",
+        [
+            (("oracle", "--v", "v_id", "--resolution", "500"), ()),
+            (("verify",), ("--seed", "0")),
+        ],
+        ids=["oracle", "verify"],
+    )
+    def test_environment_ignored(self, files, capsys, monkeypatch, argv, default):
+        """The output depends on the command line and the files alone: an
+        environment variable that once set the default seed changes nothing."""
+        argv = [files.get(a, a) for a in argv]
+        monkeypatch.delenv("PROGCHAN_SEED", raising=False)
+        expected = run(capsys, *argv, *default)
+        monkeypatch.setenv("PROGCHAN_SEED", "17")
+        assert run(capsys, *argv) == expected
+        assert expected[0] == 0 and expected[1]
 
 
 class TestScanVerb:
@@ -463,8 +473,7 @@ class TestPrinterBytes:
 
     @pytest.mark.parametrize("resolution", [10_000, 100_000])
     @pytest.mark.parametrize("device", ["haar4", "optimal", "i4"])
-    def test_oracle_verb(self, files, capsys, monkeypatch, device, resolution):
-        monkeypatch.delenv("PROGCHAN_SEED", raising=False)
+    def test_oracle_verb(self, files, capsys, device, resolution):
         v = {"haar4": self.ci_haar4, "optimal": lambda: optimal_interaction(1, 1), "i4": lambda: np.eye(4)}
         path = files["tmp"] / f"{device}.json"
         write_matrix(v[device](), path)
@@ -494,6 +503,28 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: cannot read matrix file {bad}: ") and err.count("\n") == 1
+
+    def test_utf8_file_in_ascii_locale(self, files):
+        """A UTF-8 matrix file reads the same under the C locale as in UTF-8 mode."""
+        obj = json.loads(files["u_x"].read_text())
+        path = files["tmp"] / "u_note.json"
+        path.write_text(json.dumps(dict(obj, note="\u00e9"), ensure_ascii=False), encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "progchan", "fidelity", "--u", path, "--v", files["v_opt"]]
+        outputs = []
+        for mode in ({"PYTHONUTF8": "0", "LC_ALL": "C"}, {"PYTHONUTF8": "1"}):
+            env = dict(os.environ, PYTHONPATH=src, **mode)
+            outputs.append(subprocess.run(argv, env=env, capture_output=True, timeout=120))
+        assert outputs[0].returncode == 0, outputs[0].stderr
+        assert (outputs[0].stdout, outputs[0].stderr) == (outputs[1].stdout, outputs[1].stderr)
+
+    def test_entry_beyond_bound(self, files, capsys):
+        # m^dag m would overflow before the unitarity check
+        big = files["tmp"] / "v_big.json"
+        write_matrix(1e200 * np.eye(4), big)
+        code, out, err = run(capsys, "worst-case", "--v", big)
+        assert code == 2 and out == ""
+        assert err == "error: joint unitary is not unitary at tolerance 1e-10\n"
 
     def test_non_unitary_input(self, files, capsys):
         bad = files["tmp"] / "bad.json"

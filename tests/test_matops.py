@@ -6,18 +6,27 @@ from progchan import (
     ContractError,
     DimensionError,
     KrausChannel,
+    ScanConfig,
     apply_programmed,
+    bloch_to_matrix,
     channel_fidelity,
     circuits,
+    controlled_unitary_worst,
     covariance_transform,
     equal_up_to_global_phase,
+    fidelity_uv,
     haar_unitary,
+    kraus_cirac_decompose,
     kron,
     matrix_to_bloch,
+    minimax_scan,
     partial_trace,
     program_channel,
     program_overlap,
     random_density,
+    s_operator,
+    sigma_dominance_check,
+    worst_case_fidelity,
 )
 from progchan.kernels import device_parts
 from progchan.matops import (
@@ -32,6 +41,9 @@ from progchan.pauli import pauli
 
 I2 = np.eye(2)
 I4 = np.eye(4)
+# finite, but their products overflow
+BIG2 = 1e200 * I2
+BIG4 = 1e200 * I4
 
 
 class TestKron:
@@ -101,6 +113,14 @@ class TestPartialTrace:
             partial_trace(I2, 2)
         with pytest.raises(DimensionError):
             partial_trace(I4, 3)
+
+    @pytest.mark.parametrize("subsystem", [True, 1.0], ids=["bool", "float"])
+    def test_non_integer_subsystem(self, subsystem):
+        with pytest.raises(DimensionError, match="subsystem must be 1 or 2"):
+            partial_trace(I4, subsystem)
+
+    def test_numpy_integer_subsystem(self):
+        np.testing.assert_array_equal(partial_trace(I4, np.int64(1)), partial_trace(I4, 1))
 
 
 class TestVectorize:
@@ -299,6 +319,9 @@ class TestInputContract:
             (lambda: apply_programmed(I4, TestInputContract.STACK, I2 / 2), "program state"),
             (lambda: apply_programmed(I4, I2 / 2, TestInputContract.STACK), "input state"),
             (lambda: KrausChannel((I4,)), "Kraus operator"),
+            (lambda: bloch_to_matrix(I2 / np.sqrt(2)), "Bloch vector"),
+            (lambda: KrausChannel((I2,)).apply(np.ones((2, 2, 2))), "input state"),
+            (lambda: KrausChannel((I2,)).apply(np.eye(3)), "input state must be 2x2, got 3x3"),
         ],
         ids=[
             "device_parts",
@@ -312,10 +335,56 @@ class TestInputContract:
             "apply_programmed_sigma_stack",
             "apply_programmed_rho_stack",
             "kraus_operator",
+            "bloch_to_matrix_2x2",
+            "kraus_apply_stack",
+            "kraus_apply_3x3",
         ],
     )
     def test_wrong_size(self, call, named):
         with pytest.raises(DimensionError, match=named):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: worst_case_fidelity(BIG4),
+            lambda: kraus_cirac_decompose(BIG4),
+            lambda: s_operator(I2, BIG4),
+            lambda: fidelity_uv(BIG2, I4),
+            lambda: program_overlap(I2, BIG4, I2 / 2),
+            lambda: program_channel(BIG4, I2 / 2),
+            lambda: channel_fidelity(BIG2, KrausChannel((I2,))),
+            lambda: matrix_to_bloch(BIG2),
+            lambda: minimax_scan(BIG4, ScanConfig(resolution=100, sigma_samples=0)),
+            lambda: covariance_transform(BIG2, I2, I2, I2, I2, I4),
+            lambda: controlled_unitary_worst(BIG2, I2),
+            lambda: circuits.local(0, BIG2),
+            lambda: apply_programmed(BIG4, I2 / 2, I2 / 2),
+            lambda: sigma_dominance_check(I2, BIG4, 10),
+            lambda: bloch_to_matrix([1e200, 0, 0, 0]),
+        ],
+        ids=[
+            "worst_case_fidelity",
+            "kraus_cirac_decompose",
+            "s_operator",
+            "fidelity_uv",
+            "program_overlap",
+            "program_channel",
+            "channel_fidelity",
+            "matrix_to_bloch",
+            "minimax_scan",
+            "covariance_transform",
+            "controlled_unitary_worst",
+            "local_gate",
+            "apply_programmed",
+            "sigma_dominance_check",
+            "bloch_to_matrix",
+        ],
+    )
+    def test_entry_beyond_bound(self, call):
+        """Rejected before any product can overflow: tier-1 turns numpy's
+        overflow warning into an error, so only the check can pass."""
+        with pytest.raises(ContractError):
             call()
 
     def test_wrong_size_is_broken_contract(self):
