@@ -6,7 +6,7 @@ and discards the ancilla; the ancilla state sigma is the program.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +137,8 @@ def distance(f: float) -> float:
 def avg_io_fidelity(f: float, d: int) -> float:
     """Input-output fidelity averaged over pure states: (1 + d F) / (d + 1)."""
     _check_fidelity(f)
-    # finite first: int() of inf or NaN raises before the comparison could fail
-    if not (_is_real(d) and math.isfinite(d) and d >= 2 and int(d) == d):
+    # compared, never cast: an int beyond float range fails here, not in a float();
+    # NaN and infinities fail the bounds before int() could raise
+    if not (_is_real(d) and 2 <= d <= sys.float_info.max and int(d) == d):
         raise ContractError(f"dimension must be an integer >= 2, got {d!r}")
     return (1.0 + d * f) / (d + 1.0)

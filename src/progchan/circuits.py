@@ -156,13 +156,13 @@ def build_general_circuit(cf: CanonicalForm) -> tuple[Gate, ...]:
 
 def build_optimal_circuit(sx_sign: int, sz_sign: int) -> tuple[Gate, ...]:
     """CNOT . (X_{sx pi/4} x Z_{sz pi/4}) . CNOT, the two-CNOT optimal device."""
+    target = optimal_interaction(sx_sign, sz_sign)  # checks the signs before any gate is built
     gates = (
         cnot(),
         rotation("xrot", 0, sx_sign * np.pi / 4),
         rotation("zrot", 1, sz_sign * np.pi / 4),
         cnot(),
     )
-    target = optimal_interaction(sx_sign, sz_sign)
     return _checked(gates, target, 1e-12, "optimal circuit does not reproduce its target")
 
 

@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MatrixFormatError
-from .matops import SUPPORTED_DIMS, _is_integer
+from .matops import SUPPORTED_DIMS, _is_integer, as_matrix
 
 
 def matrix_to_obj(m) -> dict:
-    m = np.asarray(m, dtype=complex)
+    m = as_matrix(m, "matrix")  # only what obj_to_matrix reads back: 2x2 or 4x4
     return {
         "dim": int(m.shape[0]),
         "rows": [[[float(x.real), float(x.imag)] for x in row] for row in m],

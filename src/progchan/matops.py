@@ -4,7 +4,8 @@ package's input contract.
 Everything downstream (states, gates, the S operator) lives in C^2 or C^4,
 so the helpers here deliberately reject anything larger.  ``assert_unitary``
 and ``assert_density`` decide shape, unitarity and density for every caller,
-and ``_is_integer`` and ``_is_real`` which scalars count as integers and reals.
+and ``_is_integer`` and ``_is_real`` which scalars count as integers and reals
+(``_real_array`` applies the second to arrays).
 """
 
 from __future__ import annotations
@@ -34,6 +35,20 @@ def _is_integer(x) -> bool:
 def _is_real(x) -> bool:
     """True for a Python or numpy integer or float; False for a bool or an np.bool_ (not Real)."""
     return isinstance(x, Real) and not isinstance(x, bool)
+
+
+def _real_array(x, name: str) -> np.ndarray:
+    """x as a float array, or ContractError unless every entry is real (``_is_real``).
+
+    Real input keeps its bits.  A complex entry is refused whatever its
+    imaginary part, where numpy's float cast would drop that part.
+    """
+    a = np.asarray(x)
+    if a.dtype.kind == "O" and all(map(_is_real, a.flat)):  # ints beyond int64, say
+        a = a.astype(float)
+    if a.dtype.kind not in "iuf":
+        raise ContractError(f"{name} must hold real numbers, got {a.dtype} entries")
+    return a.astype(float, copy=False)
 
 
 def as_matrix(m, name: str = "matrix", dims: tuple = SUPPORTED_DIMS) -> np.ndarray:

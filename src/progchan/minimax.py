@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DecompositionError, DimensionError
-from .matops import _is_real, _kron, assert_unitary, hermitian_eig, kron
+from .matops import _is_real, _kron, _real_array, assert_unitary, hermitian_eig, kron
 from .pauli import (
     PAULI,
     TVector,
@@ -68,7 +68,10 @@ class CanonicalForm:
     w4: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float).reshape(3))
+        alpha = _real_array(self.alpha, "alpha")
+        if alpha.size != 3:
+            raise DimensionError(f"alpha must have 3 components, got shape {alpha.shape}")
+        object.__setattr__(self, "alpha", alpha.reshape(3))
 
     def reconstruct(self) -> np.ndarray:
         core = canonical_gate(self.alpha)
@@ -97,7 +100,7 @@ def theta_from_alpha(alpha) -> np.ndarray:
 
     theta_0 = alpha_1 + alpha_2 + alpha_3 and theta_i = 2 alpha_i - theta_0.
     """
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = _real_array(alpha, "alpha")
     if alpha.shape[-1:] != (3,):
         raise DimensionError(f"alpha must have 3 components, got shape {alpha.shape}")
     # written as "not <=" so that a NaN fails the guard; the first bad row is quoted

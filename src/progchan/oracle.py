@@ -3,9 +3,9 @@
 The inner maximization over program states is analytic (top eigenvalue of
 S^dag S), so the only approximation is the discretization of the target
 group: a seeded low-discrepancy sweep of S^3 (``_sweep``).  The sweep builds
-no points and keeps a running minimum, so a scan's memory grows only by ~1.6 KB
-of coefficients per 4096 points; only a ``--csv`` trace holds the whole
-sample.  The scan sees the device only as the two arrays that
+no points and yields its values a period at a time, so a scan's memory, a
+``--csv`` trace's too, grows only by ~1.6 KB of coefficients per 4096
+points.  The scan sees the device only as the two arrays that
 ``kernels._scan_forms`` builds: the real forms Q and the determinant form D.
 Q_0 gives a proven lower bound, and D steers the search for a witness point
 that attains it, so the scan also evaluates that witness and reports the
@@ -14,6 +14,7 @@ lower of the two minima.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 from dataclasses import dataclass
@@ -250,8 +251,9 @@ def sample_su2(config: ScanConfig) -> np.ndarray:
 
     The sequence points follow the axis points (``_sample_rows``).  With
     a fixed seed the sample is prefix-nested: raising the resolution only
-    appends points.  ``minimax_scan`` never builds this array unless asked
-    for a trace; its sweep evaluates the same points without building them.
+    appends points.  ``minimax_scan`` never builds this array: its sweep
+    evaluates the same points without building them, and a trace rebuilds
+    them a block at a time.
     """
     return _sample_rows(_offset(config), np.arange(config.resolution))
 
@@ -277,29 +279,24 @@ def _period_coefficients(forms, offset: np.ndarray, periods: int) -> np.ndarray:
     return kernels.pack(turned).take(_SWEEP_ROWS, axis=-1)
 
 
-def _sweep(forms, offset: np.ndarray, n: int, values=None) -> int:
-    """The row of the least objective value among the first n > 8 sample rows.
+def _sweep(forms, offset: np.ndarray, n: int):
+    """Yield (first row, values) blocks of the objective at the first n > 8 sample rows.
 
-    Ties go to the lower row, so the row is ``np.argmin`` of the values;
-    if ``values`` is an array of n, it also receives every value, each
-    within 2e-15 of the kernel's at that row of ``sample_su2``.  The axis
-    rows go through the kernel as one batch.  The sequence points are never
-    built: point k = 4096 q + j takes the table's unit monomials at j, each
-    scaled by the weight W_k puts on it (1 - u, sqrt(u (1 - u)) or u, with
-    u_k as in ``_sample_rows``), against period q's coefficients
-    (``_period_coefficients``).  Each period is one block, so the table is
-    read in slices; every block reuses the same buffers, and only the
-    running minimum outlives it, so the sweep holds O(4096) values whatever
-    n is.  A lone last point is computed with its successor: alone, it
-    would make the period's product a matrix-vector one, which can round
+    The blocks are contiguous, in row order: the axis rows, through the
+    kernel as one batch, then one block per period, each value within 2e-15
+    of the kernel's at that row of ``sample_su2``.  The sequence points are
+    never built: point k = 4096 q + j takes the table's unit monomials at j,
+    each scaled by the weight W_k puts on it (1 - u, sqrt(u (1 - u)) or u,
+    with u_k as in ``_sample_rows``), against period q's coefficients
+    (``_period_coefficients``).  Every block reuses the same buffers, so the
+    sweep holds O(4096) values whatever n is, and a block's values are valid
+    only until the next block is drawn: a reader that keeps them copies
+    them.  A lone last point is computed with its successor: alone, it would
+    make the period's product a matrix-vector one, which can round
     differently (see kernels), so no value depends on n.
     """
     n_axis = len(AXIS_POINTS)
-    axis_values = fidelity_from_bloch_batch(forms, AXIS_POINTS)
-    if values is not None:
-        values[:n_axis] = axis_values
-    best_row = int(axis_values.argmin())
-    best = axis_values[best_row]
+    yield 0, fidelity_from_bloch_batch(forms, AXIS_POINTS)
     last = n - n_axis  # sequence indices 1..last
     size = 1 << _TABLE_BITS
     table, ramp = _monomial_table(), np.arange(size, dtype=float)
@@ -319,16 +316,9 @@ def _sweep(forms, offset: np.ndarray, n: int, values=None) -> int:
         block = monomials[: 10 * m].reshape(10, m)
         for rows, weight in zip(_WEIGHT_ROWS, (w_low, w_cross, w_high)):
             np.multiply(table[rows, lo:hi], weight, out=block[rows])
-        start = base + lo + n_axis - 1  # the row of index k = base + lo
         # the weights are spent, so h_a overwrites them
         hs = np.matmul(coeffs, block, out=scratch[: 4 * m].reshape(4, m))
-        found = kernels.fidelity_tail(hs, block_values[:m])[:count]
-        if values is not None:
-            values[start : start + count] = found
-        j = int(found.argmin())
-        if found[j] < best:
-            best, best_row = found[j], start + j
-    return best_row
+        yield base + lo + n_axis - 1, kernels.fidelity_tail(hs, block_values[:m])[:count]
 
 
 def _gram_witness(forms, det_form) -> tuple[float, np.ndarray]:
@@ -361,27 +351,31 @@ def _gram_witness(forms, det_form) -> tuple[float, np.ndarray]:
 def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
     """Sweep the target group for the worst fidelity, then try the Gram witness.
 
-    The sweep (``_sweep``) evaluates every row of ``sample_su2(config)``
-    without building the rows and keeps only the index of the lowest.  That
-    row is rebuilt from its index and goes through the kernel in one call
-    with the four witness candidates (``_gram_witness``), so ``f_min`` is
-    the kernel's value at ``worst_bloch``: the lowest of the five, ties to
-    the sweep row.  ``trace_path`` optionally writes a CSV of (index,
-    n0..n3, fidelity) for the sweep phase, the one case whose memory grows
-    with the resolution: it builds the whole sample and keeps every sweep
-    value, which its fidelity column holds.
+    The sweep (``_sweep``) evaluates every row of the ``sample_su2`` sample
+    without building the rows, and the scan keeps the row of the first
+    minimum (axis rows first, ties to the lower row).  That row is rebuilt
+    from its index and goes through the kernel in one call with the four
+    witness candidates (``_gram_witness``), so ``f_min`` is the kernel's
+    value at ``worst_bloch``: the lowest of the five, ties to the sweep row.
+    ``trace_path`` optionally writes a CSV of (index, n0..n3, fidelity) for
+    the sweep phase, opened before the sweep; each block's rows are rebuilt
+    (``_sample_rows``) and written as the block arrives.
     """
     forms, det_form = kernels._scan_forms(v)
     offset = _offset(config)
-    values = None if trace_path is None else np.empty(config.resolution)
-    best_row = _sweep(forms, offset, config.resolution, values)
-
-    if trace_path is not None:
-        with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    trace = contextlib.nullcontext() if trace_path is None else open(trace_path, "w", newline="")
+    with trace as fh:
+        writer = None if fh is None else csv.writer(fh)
+        if writer is not None:
             writer.writerow(["index", "n0", "n1", "n2", "n3", "fidelity"])
-            for i, (p, f) in enumerate(zip(sample_su2(config), values)):
-                writer.writerow([i, *(repr(float(x)) for x in (*p, f))])
+        for start, values in _sweep(forms, offset, config.resolution):
+            j = int(values.argmin())
+            if start == 0 or values[j] < lowest:
+                lowest, best_row = values[j], start + j
+            if writer is not None:
+                rows = range(start, start + len(values))
+                block = zip(rows, _sample_rows(offset, rows).tolist(), values.tolist())
+                writer.writerows([i, *map(repr, p), repr(f)] for i, p, f in block)
 
     lower_bound, candidates = _gram_witness(forms, det_form)
     points = np.concatenate([_sample_rows(offset, [best_row]), candidates])

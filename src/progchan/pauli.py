@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .matops import _ENTRY_BOUND, _is_integer, assert_unitary
+from .matops import _ENTRY_BOUND, _is_integer, _real_array, assert_unitary
 
 PAULI = np.array(
     [
@@ -57,7 +57,7 @@ def wrap_phase(theta):
 
 def assert_bloch(n) -> np.ndarray:
     """A real 4-vector on S^3, or DimensionError / ContractError (NaN included)."""
-    n = np.asarray(n, dtype=float)
+    n = _real_array(n, "Bloch vector")
     if n.shape != (4,):
         raise DimensionError(f"Bloch vector must have shape (4,), got {n.shape}")
     # a component beyond _ENTRY_BOUND fails before n @ n can overflow
@@ -132,7 +132,7 @@ def _hadamard_t_raw(theta) -> np.ndarray:
     e^{-i theta_j} - t0; contracting HADAMARD against e^{-i theta} gives the
     same vector.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = _real_array(theta, "phase vector")
     if theta.shape[-1:] != (4,):
         raise DimensionError(f"phase vector must have 4 components, got shape {theta.shape}")
     z = np.exp(-1j * theta)

@@ -313,10 +313,11 @@ def projector_densities(rng, n):
 
 
 def sweep_values(forms, offset, n):
-    """The oracle sweep's value at each of the first n sample rows, as a ``--csv`` trace gets them."""
-    values = np.full(n, np.nan)
-    oracle._sweep(forms, offset, n, values)
-    return values
+    """The oracle sweep's value at each of the first n sample rows, as a ``--csv`` trace gets them.
+
+    Each block is copied as it comes: the sweep reuses its buffer for the next one.
+    """
+    return np.concatenate([values.copy() for _, values in oracle._sweep(forms, offset, n)])
 
 
 def gram_forms(parts):

@@ -3,12 +3,15 @@ import pytest
 from helpers import brute_partial_trace
 
 from progchan import (
+    CanonicalForm,
     ContractError,
     DimensionError,
     KrausChannel,
     ScanConfig,
     apply_programmed,
+    avg_io_fidelity,
     bloch_to_matrix,
+    canonical_gate,
     channel_fidelity,
     circuits,
     controlled_unitary_worst,
@@ -16,9 +19,11 @@ from progchan import (
     equal_up_to_global_phase,
     fidelity_uv,
     haar_unitary,
+    hadamard_t,
     kraus_cirac_decompose,
     kron,
     matrix_to_bloch,
+    matrix_to_obj,
     minimax_scan,
     partial_trace,
     program_channel,
@@ -26,12 +31,14 @@ from progchan import (
     random_density,
     s_operator,
     sigma_dominance_check,
+    theta_from_alpha,
     worst_case_fidelity,
 )
 from progchan.kernels import device_parts
 from progchan.matops import (
     DECOMP_TOL,
     _min_eigenvalue_2x2,
+    _real_array,
     assert_density,
     assert_unitary,
     density_mask,
@@ -390,3 +397,57 @@ class TestInputContract:
     def test_wrong_size_is_broken_contract(self):
         assert issubclass(DimensionError, ContractError)
         assert issubclass(DimensionError, ValueError)
+
+    EYE2 = (I2,) * 4
+
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            # the signs are checked before any gate is built
+            (lambda: circuits.build_optimal_circuit(None, 1), ContractError, "signs must be"),
+            (lambda: circuits.build_optimal_circuit("a", 1), ContractError, "signs must be"),
+            (lambda: circuits.build_optimal_circuit(np.nan, 1), ContractError, "signs must be"),
+            # a complex entry is refused, never cast to its real part
+            (lambda: theta_from_alpha(np.array([0.1 + 1j, 0, 0])), ContractError, "alpha must hold real"),
+            (lambda: theta_from_alpha([0.1 + 1j, 0, 0]), ContractError, "alpha must hold real"),
+            (lambda: canonical_gate(np.array([0.1 + 1j, 0, 0])), ContractError, "alpha must hold real"),
+            (lambda: hadamard_t(np.array([0.1 + 2j, 0, 0, 0])), ContractError, "phase vector must hold real"),
+            (lambda: hadamard_t([0.1, 0, 0, 0j]), ContractError, "phase vector must hold real"),
+            (lambda: bloch_to_matrix(np.array([1 + 1j, 0, 0, 0])), ContractError, "Bloch vector must hold real"),
+            (lambda: bloch_to_matrix([1, 0, 0, "0"]), ContractError, "Bloch vector must hold real"),
+            (lambda: CanonicalForm([1j, 0, 0], *TestInputContract.EYE2), ContractError, "alpha must hold real"),
+            (lambda: CanonicalForm([1, 2], *TestInputContract.EYE2), DimensionError, "alpha must have 3"),
+            # only what load_matrix reads back is written
+            (lambda: matrix_to_obj(np.eye(3)), DimensionError, "matrix must be 2x2 or 4x4"),
+            (lambda: matrix_to_obj([1, 2]), DimensionError, "matrix must be square"),
+            (lambda: avg_io_fidelity(0.5, 10**400), ContractError, "dimension must be"),
+        ],
+        ids=[
+            "optimal_circuit_none",
+            "optimal_circuit_str",
+            "optimal_circuit_nan",
+            "theta_from_alpha_complex",
+            "theta_from_alpha_complex_list",
+            "canonical_gate_complex",
+            "hadamard_t_complex",
+            "hadamard_t_complex_zero",
+            "bloch_to_matrix_complex",
+            "bloch_to_matrix_str",
+            "canonical_form_complex",
+            "canonical_form_two_alpha",
+            "matrix_to_obj_3x3",
+            "matrix_to_obj_vector",
+            "avg_io_fidelity_huge_dim",
+        ],
+    )
+    def test_broken_contract(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_real_array_keeps_real_input(self):
+        x = np.array([0.1, -0.2, 0.3])
+        assert _real_array(x, "x") is x
+        np.testing.assert_array_equal(_real_array([1, 2**70, 0.5], "x"), [1.0, 2.0**70, 0.5])
+        # a float dimension stays accepted; an integer one up to float range too
+        assert avg_io_fidelity(0.5, 2.0) == avg_io_fidelity(0.5, 2)
+        assert avg_io_fidelity(0.5, 10**300) == (1 + 10**300 * 0.5) / (10**300 + 1.0)

@@ -360,14 +360,49 @@ class TestStreamedSweep:
     )
 
     @pytest.mark.parametrize("resolution", [100, 4104, 4105, 10_000, 100_000])
-    def test_row_is_first_minimum(self, resolution):
+    def test_row_is_first_minimum(self, resolution, monkeypatch):
+        # the scan re-reads its sweep row through one one-row _sample_rows call
+        sample_rows, read = oracle._sample_rows, []
+
+        def spy(offset, rows):
+            read.append(list(rows))
+            return sample_rows(offset, rows)
+
+        monkeypatch.setattr(oracle, "_sample_rows", spy)
         for k, v in enumerate(self.ARGMIN_DEVICES):
-            forms = device_parts(v)
-            offset = oracle._offset(ScanConfig(seed=k))
-            values = sweep_values(forms, offset, resolution)
+            values = sweep_values(device_parts(v), oracle._offset(ScanConfig(seed=k)), resolution)
             assert not np.isnan(values).any()
+            read.clear()
+            minimax_scan(v, ScanConfig(resolution=resolution, seed=k))
             # the row np.argmin picks: axis rows first, ties to the lower row
-            assert oracle._sweep(forms, offset, resolution) == np.argmin(values)
+            assert read == [[np.argmin(values)]]
+
+    def test_blocks_are_contiguous_from_the_axis_rows(self):
+        forms = device_parts(haar_unitary(4, np.random.default_rng(8)))
+        offset = oracle._offset(ScanConfig(seed=8))
+        for resolution in self.RESOLUTIONS:
+            blocks = [(start, len(values)) for start, values in oracle._sweep(forms, offset, resolution)]
+            assert blocks[0] == (0, len(AXIS_POINTS))
+            # then one block per period k // 4096 of sequence indices k = 1..n - 8
+            assert len(blocks) == 2 + (resolution - len(AXIS_POINTS)) // 4096
+            ends = [start + size for start, size in blocks]
+            assert [start for start, _ in blocks[1:]] == ends[:-1]
+            assert ends[-1] == resolution
+
+    @pytest.mark.parametrize("resolution", [4104, 4105, 2 * 4096 + 9])
+    def test_trace_equals_the_whole_sample(self, tmp_path, resolution):
+        # the reference is the trace as it was built before it streamed: the
+        # whole sample_su2 array and the whole array of sweep values
+        path = tmp_path / "trace.csv"
+        devices = (np.eye(4), optimal_interaction(1, -1), haar_unitary(4, np.random.default_rng(9)))
+        for k, v in enumerate(devices):
+            config = ScanConfig(resolution=resolution, seed=k)
+            minimax_scan(v, config, trace_path=path)
+            values = sweep_values(device_parts(v), oracle._offset(config), resolution)
+            lines = ["index,n0,n1,n2,n3,fidelity"]
+            for i, (p, f) in enumerate(zip(sample_su2(config), values)):
+                lines.append(",".join([str(i), *(repr(float(x)) for x in (*p, f))]))
+            assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
     @pytest.mark.parametrize("seed", [0, 4, 9])
     def test_period_coefficients_are_one_product_per_period(self, seed):
@@ -398,13 +433,29 @@ class TestStreamedSweep:
                 np.testing.assert_array_equal(stacked[q], single)
 
     @staticmethod
-    def traced_peak(v, config):
+    def traced_peak(v, config, trace_path=None):
         tracemalloc.start()
         try:
-            minimax_scan(v, config)
+            minimax_scan(v, config, trace_path=trace_path)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("resolution", [100_000, 200_000, 400_000])
+    def test_traced_scan_memory_is_bounded_by_the_block(self, tmp_path, resolution):
+        # the trace held the whole sample and every value: 9.3, 18.5 and 36.8 MiB
+        v = canonical_gate([0.3, 0.2, 0.1])
+        minimax_scan(v, ScanConfig(resolution=5000, seed=1), trace_path=tmp_path / "warm.csv")
+        peak = self.traced_peak(v, ScanConfig(resolution=resolution, seed=1), tmp_path / "trace.csv")
+        assert peak < 4 * 2**20
+
+    def test_trace_path_checked_before_the_sweep(self, tmp_path, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran before the trace was opened")
+
+        monkeypatch.setattr(oracle, "_period_coefficients", no_sweep)
+        with pytest.raises(FileNotFoundError):
+            minimax_scan(np.eye(4), ScanConfig(resolution=200), trace_path=tmp_path / "missing" / "t.csv")
 
     def test_peak_memory_independent_of_sample(self):
         v = canonical_gate([0.3, 0.2, 0.1])
