@@ -10,7 +10,7 @@ and ``_is_integer`` and ``_is_real`` which scalars count as integers and reals
 
 from __future__ import annotations
 
-from numbers import Integral, Real
+from numbers import Integral, Number, Real
 
 import numpy as np
 
@@ -52,8 +52,15 @@ def _real_array(x, name: str) -> np.ndarray:
 
 
 def as_matrix(m, name: str = "matrix", dims: tuple = SUPPORTED_DIMS) -> np.ndarray:
-    """Coerce to a square complex array whose dimension is one of ``dims``."""
-    a = np.asarray(m, dtype=complex)
+    """Coerce to a square complex array whose dimension is one of ``dims``.
+
+    Entries must be numbers: numpy's complex cast would parse a string.
+    """
+    a = np.asarray(m)
+    kind = a.dtype.kind
+    if not (kind in "biufc" or kind == "O" and all(isinstance(x, Number) for x in a.flat)):
+        raise ContractError(f"{name} must hold numbers, got {a.dtype} entries")
+    a = a.astype(complex, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] not in dims:

@@ -115,7 +115,7 @@ def theta_from_alpha(alpha) -> np.ndarray:
 
 def alpha_from_theta(theta) -> np.ndarray:
     """Inverse of :func:`theta_from_alpha` on the zero-sum phase subspace."""
-    theta = np.asarray(theta, dtype=float).reshape(4)
+    theta = _real_array(theta, "phase vector").reshape(4)
     return 0.5 * np.array([theta[0] + theta[1], theta[0] + theta[2], theta[0] + theta[3]])
 
 

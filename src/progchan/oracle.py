@@ -8,8 +8,9 @@ no points and yields its values a period at a time, so a scan's memory, a
 points.  The scan sees the device only as the two arrays that
 ``kernels._scan_forms`` builds: the real forms Q and the determinant form D.
 Q_0 gives a proven lower bound, and D steers the search for a witness point
-that attains it, so the scan also evaluates that witness and reports the
-lower of the two minima.
+that attains it, so the scan evaluates that witness first and reports the
+lower of the two minima.  Since f >= h_0/8 = n^T Q_0 n / 8, the sweep skips
+the points whose h_0/8 shows them to lie above the witness.
 """
 
 from __future__ import annotations
@@ -47,6 +48,16 @@ _TABLE_BITS = 12
 # sqrt(u (1 - u)), polar pairs u (``_sweep``).
 _SWEEP_ROWS = np.array([0, 1, 4, 2, 3, 5, 6, 7, 8, 9])
 _WEIGHT_ROWS = (slice(0, 3), slice(3, 7), slice(7, 10))
+# row g keeps the coefficients of _WEIGHT_ROWS[g]: the sweep's bound on h_0
+_WEIGHT_MASK = np.repeat(np.eye(3), (3, 4, 3), axis=1)
+# Row stride of the sweep's (10, m) monomial buffer: at 4096 doubles every row
+# of a column falls at the same 32 KiB cache offset, which slows the scaling.
+_BLOCK_STRIDE = (1 << _TABLE_BITS) + 8
+# The sweep skips a point whose h_0/8 lies more than this above the witness's
+# value (``_sweep``).  It covers the rounding between the bound's h_0 and the
+# kernel's (~1e-14) and between a sweep value and the kernel's at that row
+# (2e-15), so no skipped point could be the one the scan would re-read and win.
+_PRUNE_MARGIN = 1e-12
 
 # Size of the angle grid on [0, pi) over which the witness search maximizes
 # |det S| (``_gram_witness``).  Grids of 4 to 91 angles give the same witness
@@ -94,9 +105,10 @@ class ScanResult:
 
     ``lower_bound`` is lambda_min(Q)/8, below which no kernel value can lie
     (``_gram_witness``).  ``evaluations`` is the number of sample rows and
-    witness candidates the scan evaluates, ``resolution + 4``: every sweep
-    point and the four candidates.  The kernel's second look at the sweep's
-    best row is not counted.
+    witness candidates the scan covers, ``resolution + 4``: every sweep row,
+    each either evaluated or shown by its h_0/8 to lie above the witness
+    (``_sweep``), and the four candidates.  The kernel's second look at the
+    sweep's best row and the candidates is not counted.
     """
 
     f_min: float
@@ -279,55 +291,88 @@ def _period_coefficients(forms, offset: np.ndarray, periods: int) -> np.ndarray:
     return kernels.pack(turned).take(_SWEEP_ROWS, axis=-1)
 
 
-def _sweep(forms, offset: np.ndarray, n: int):
-    """Yield (first row, values) blocks of the objective at the first n > 8 sample rows.
+def _sweep(forms, offset: np.ndarray, n: int, ceiling: float = np.inf):
+    """Yield (rows, values) blocks of the objective at the first n > 8 sample rows.
 
-    The blocks are contiguous, in row order: the axis rows, through the
-    kernel as one batch, then one block per period, each value within 2e-15
-    of the kernel's at that row of ``sample_su2``.  The sequence points are
-    never built: point k = 4096 q + j takes the table's unit monomials at j,
-    each scaled by the weight W_k puts on it (1 - u, sqrt(u (1 - u)) or u,
-    with u_k as in ``_sample_rows``), against period q's coefficients
+    The first block is the axis rows, through the kernel as one batch; then
+    come the periods' blocks, in row order, each value within 2e-15 of the
+    kernel's at that row of ``sample_su2``.  The sequence points are never
+    built: point k = 4096 q + j takes the table's unit monomials at j, each
+    scaled by the weight W_k puts on it (1 - u, sqrt(u (1 - u)) or u, with
+    u_k as in ``_sample_rows``), against period q's coefficients
     (``_period_coefficients``).  Every block reuses the same buffers, so the
     sweep holds O(4096) values whatever n is, and a block's values are valid
     only until the next block is drawn: a reader that keeps them copies
-    them.  A lone last point is computed with its successor: alone, it would
-    make the period's product a matrix-vector one, which can round
-    differently (see kernels), so no value depends on n.
+    them.  A lone point is computed with a neighbour: alone, it would make
+    the period's product a matrix-vector one, which can round differently
+    (see kernels), so no value depends on n or on the ceiling.
+
+    With the default ceiling every period yields one block, and the blocks'
+    rows, each a range, tile the rows in order.  With a finite ceiling a
+    period yields only its rows whose h_0/8 may lie within ``_PRUNE_MARGIN``
+    of the ceiling, as an index array, with the bits the full sweep gives
+    them, and a period with none yields nothing.  The bound on h_0 is one
+    (3, 10) product of h_0's coefficients, split by weight, against the
+    table, then the three weights.  A skipped row's value is at least its
+    h_0/8 in floating point too (the tail adds a square root to h_0), so it
+    lies above the ceiling by the margin, less the rounding between the two
+    routes to h_0 (~1e-14).
     """
     n_axis = len(AXIS_POINTS)
-    yield 0, fidelity_from_bloch_batch(forms, AXIS_POINTS)
+    yield range(n_axis), fidelity_from_bloch_batch(forms, AXIS_POINTS)
     last = n - n_axis  # sequence indices 1..last
     size = 1 << _TABLE_BITS
     table, ramp = _monomial_table(), np.arange(size, dtype=float)
-    monomials, scratch, block_values = np.empty(10 * size), np.empty(4 * size), np.empty(size)
+    monomials, scratch = np.empty((10, _BLOCK_STRIDE)), np.empty(4 * size)
+    block_values = np.empty(size)
+    limit, grouped = 8 * (ceiling + _PRUNE_MARGIN), np.empty((3, 10))
     for q, coeffs in enumerate(_period_coefficients(forms, offset, (last >> _TABLE_BITS) + 1)):
         base = q << _TABLE_BITS
         lo = max(1 - base, 0)  # j of this period's points: lo, ..., at most 4095
         count = min(last + 1 - base, size) - lo
         m = max(count, 2)
         hi = lo + m
-        w_low, w_cross, w_high = scratch[:m], scratch[m : 2 * m], scratch[2 * m : 3 * m]
+        weights = w_low, w_cross, w_high = scratch[:m], scratch[m : 2 * m], scratch[2 * m : 3 * m]
         np.add(ramp[lo:hi], base, out=w_high)  # float(k), exactly
         _radial_coordinate(w_high, offset, scratch=w_low)
         np.subtract(1.0, w_high, out=w_low)
         np.multiply(w_high, w_low, out=w_cross)
         np.sqrt(w_cross, out=w_cross)
-        block = monomials[: 10 * m].reshape(10, m)
-        for rows, weight in zip(_WEIGHT_ROWS, (w_low, w_cross, w_high)):
-            np.multiply(table[rows, lo:hi], weight, out=block[rows])
+        first, columns = base + lo + n_axis - 1, table[:, lo:hi]
+        if limit < np.inf:
+            np.multiply(coeffs[0], _WEIGHT_MASK, out=grouped)
+            parts = np.matmul(grouped, columns, out=monomials[:3, :m])
+            bound = np.multiply(parts[0], w_low, out=block_values[:m])
+            for part, weight in zip(parts[1:], weights[1:]):
+                part *= weight
+                bound += part
+            if not bound[:count].min() <= limit:  # one pass, where most blocks end
+                continue
+            keep = np.flatnonzero(bound[:count] <= limit)
+            rows, cols = first + keep, keep
+            if len(keep) == 1:
+                cols = np.append(keep, keep[0] + 1 if keep[0] + 1 < m else keep[0] - 1)
+            m = len(cols)
+            columns = np.take(columns, cols, axis=1, out=monomials[:, :m], mode="clip")
+            weights = [weight[cols] for weight in weights]
+        else:
+            rows = range(first, first + count)
+        block = monomials[:, :m]
+        for group, weight in zip(_WEIGHT_ROWS, weights):
+            np.multiply(columns[group], weight, out=block[group])
         # the weights are spent, so h_a overwrites them
         hs = np.matmul(coeffs, block, out=scratch[: 4 * m].reshape(4, m))
-        yield base + lo + n_axis - 1, kernels.fidelity_tail(hs, block_values[:m])[:count]
+        yield rows, kernels.fidelity_tail(hs, block_values[:m])[: len(rows)]
 
 
-def _gram_witness(forms, det_form) -> tuple[float, np.ndarray]:
-    """The bound lambda_min(Q)/8 of Q = forms[0], and four unit Bloch points where f may meet it.
+def _gram_witness(forms, det_form) -> tuple[float, float, np.ndarray]:
+    """The ends of spec(Q)/8, Q = forms[0], and four unit Bloch points where f may meet the low end.
 
-    ||S(n)||_F^2 = n^T Q n, and f(n) = lambda_max(S^dag S)/4 >= ||S||_F^2/8,
-    so no kernel value lies below the bound.  It is tight: spec(Q)/8 is
-    {|t_j|^2/4}, so the bound is the closed form's F(V), reached here
-    without the decomposition or the t-vector.
+    h_0/8 = n^T Q n / 8 spans [lambda_min, lambda_max](Q)/8 on S^3, and the
+    low end is the bound: ||S(n)||_F^2 = n^T Q n, and f(n) = lambda_max(S^dag
+    S)/4 >= ||S||_F^2/8, so no kernel value lies below it.  It is tight:
+    spec(Q)/8 is {|t_j|^2/4}, so the bound is the closed form's F(V), reached
+    here without the decomposition or the t-vector.
 
     f(n) meets it exactly where n lies in the bottom eigenspace E of Q and
     the singular values of S(n) tie, that is, where |det S(n)| = |n^T D n|
@@ -336,7 +381,7 @@ def _gram_witness(forms, det_form) -> tuple[float, np.ndarray]:
     top eigenvector of Re(e^{-i phi} E_k^T D E_k) at the grid angle phi whose
     top eigenvalue is largest; row 0 is the lowest eigenvector.  One row per
     k stands in for E, so no tolerance decides its dimension; the kernel
-    picks the best.  One eigh of Q serves the bound and the witness.
+    picks the best.  One eigh of Q serves the range and the witness.
     """
     spectrum, vecs = np.linalg.eigh(forms[0])
     turns = np.exp(-1j * np.pi * np.arange(WITNESS_ANGLES) / WITNESS_ANGLES)[:, None, None]
@@ -345,39 +390,49 @@ def _gram_witness(forms, det_form) -> tuple[float, np.ndarray]:
         span = vecs[:, :k]
         tops, coeffs = np.linalg.eigh((turns * (span.T @ det_form @ span)).real)
         out[k - 1] = span @ coeffs[np.argmax(tops[:, -1]), :, -1]
-    return float(spectrum[0]) / 8, out / np.linalg.norm(out, axis=1)[:, None]
+    out /= np.linalg.norm(out, axis=1)[:, None]
+    return float(spectrum[0]) / 8, float(spectrum[-1]) / 8, out
 
 
 def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
-    """Sweep the target group for the worst fidelity, then try the Gram witness.
+    """Try the Gram witness, then sweep the target group for a lower value.
 
-    The sweep (``_sweep``) evaluates every row of the ``sample_su2`` sample
-    without building the rows, and the scan keeps the row of the first
-    minimum (axis rows first, ties to the lower row).  That row is rebuilt
-    from its index and goes through the kernel in one call with the four
-    witness candidates (``_gram_witness``), so ``f_min`` is the kernel's
-    value at ``worst_bloch``: the lowest of the five, ties to the sweep row.
-    ``trace_path`` optionally writes a CSV of (index, n0..n3, fidelity) for
-    the sweep phase, opened before the sweep; each block's rows are rebuilt
-    (``_sample_rows``) and written as the block arrives.
+    The four witness candidates (``_gram_witness``) go through the kernel
+    first, as one batch.  The sweep (``_sweep``) then covers every row of
+    the ``sample_su2`` sample without building the rows, with the
+    candidates' lowest value as its ceiling: it skips the rows whose h_0/8
+    shows them to lie above it, none of which could win below.  The scan
+    keeps the row of the first minimum among the rows the sweep yields
+    (axis rows first, ties to the lower row), the row a full sweep would
+    keep whenever that row could win.  That row is rebuilt from its index
+    and goes through the kernel in one call with the four candidates, so
+    ``f_min`` is the kernel's value at ``worst_bloch``: the lowest of the
+    five, ties to the sweep row.  The sweep takes no ceiling, so skips
+    nothing, under a trace or where no point's h_0/8 lies above the
+    ceiling, as on an optimal device (Q = 2 I).  ``trace_path`` optionally
+    writes a CSV of (index, n0..n3, fidelity) for every sweep row, opened
+    before the sweep; each block's rows are rebuilt (``_sample_rows``) and
+    written as the block arrives.
     """
     forms, det_form = kernels._scan_forms(v)
     offset = _offset(config)
+    lower_bound, top, candidates = _gram_witness(forms, det_form)
+    ceiling = float(fidelity_from_bloch_batch(forms, candidates).min())
+    if trace_path is not None or top <= ceiling + _PRUNE_MARGIN:
+        ceiling = np.inf
     trace = contextlib.nullcontext() if trace_path is None else open(trace_path, "w", newline="")
     with trace as fh:
         writer = None if fh is None else csv.writer(fh)
         if writer is not None:
             writer.writerow(["index", "n0", "n1", "n2", "n3", "fidelity"])
-        for start, values in _sweep(forms, offset, config.resolution):
+        for rows, values in _sweep(forms, offset, config.resolution, ceiling):
             j = int(values.argmin())
-            if start == 0 or values[j] < lowest:
-                lowest, best_row = values[j], start + j
+            if rows[0] == 0 or values[j] < lowest:
+                lowest, best_row = values[j], rows[j]
             if writer is not None:
-                rows = range(start, start + len(values))
                 block = zip(rows, _sample_rows(offset, rows).tolist(), values.tolist())
                 writer.writerows([i, *map(repr, p), repr(f)] for i, p, f in block)
 
-    lower_bound, candidates = _gram_witness(forms, det_form)
     points = np.concatenate([_sample_rows(offset, [best_row]), candidates])
     # five rows: never the one-row BLAS path (see kernels)
     point_values = fidelity_from_bloch_batch(forms, points)

@@ -49,7 +49,7 @@ def pauli(j: int) -> np.ndarray:
 
 def wrap_phase(theta):
     """Reduce angles to the interval (-pi, pi]."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _real_array(theta, "phase")
     wrapped = np.mod(theta + np.pi, 2 * np.pi) - np.pi
     # np.mod maps odd multiples of pi to -pi; fold them back to +pi
     return np.where(wrapped == -np.pi, np.pi, wrapped)
@@ -149,4 +149,4 @@ def hadamard_t(theta) -> TVector:
 
 def hadamard_t_contract(theta) -> np.ndarray:
     """The cross-check route H . e^{-i theta}: H @ z per vector, as z @ H rounds differently."""
-    return (HADAMARD @ np.exp(-1j * np.asarray(theta, dtype=float))[..., None])[..., 0]
+    return (HADAMARD @ np.exp(-1j * _real_array(theta, "phase vector"))[..., None])[..., 0]

@@ -44,7 +44,8 @@ from progchan.matops import (
     density_mask,
     hermitian_eig,
 )
-from progchan.pauli import pauli
+from progchan.minimax import alpha_from_theta
+from progchan.pauli import hadamard_t_contract, pauli, wrap_phase
 
 I2 = np.eye(2)
 I4 = np.eye(4)
@@ -416,10 +417,17 @@ class TestInputContract:
             (lambda: bloch_to_matrix(np.array([1 + 1j, 0, 0, 0])), ContractError, "Bloch vector must hold real"),
             (lambda: bloch_to_matrix([1, 0, 0, "0"]), ContractError, "Bloch vector must hold real"),
             (lambda: CanonicalForm([1j, 0, 0], *TestInputContract.EYE2), ContractError, "alpha must hold real"),
+            (lambda: wrap_phase(np.array([0.1 + 1j])), ContractError, "phase must hold real"),
+            (lambda: alpha_from_theta(np.array([0.1 + 1j, 0, 0, 0])), ContractError, "phase vector must hold real"),
+            (lambda: hadamard_t_contract(np.array([0.1 + 1j, 0, 0, 0])), ContractError, "phase vector must hold real"),
             (lambda: CanonicalForm([1, 2], *TestInputContract.EYE2), DimensionError, "alpha must have 3"),
             # only what load_matrix reads back is written
             (lambda: matrix_to_obj(np.eye(3)), DimensionError, "matrix must be 2x2 or 4x4"),
             (lambda: matrix_to_obj([1, 2]), DimensionError, "matrix must be square"),
+            # a string is no number, though numpy's complex cast parses it
+            (lambda: matrix_to_obj([["1", "0"], ["0", "1"]]), ContractError, "matrix must hold numbers"),
+            (lambda: assert_unitary(np.array([[b"1", b"0"], [b"0", b"1"]]), 2), ContractError, "must hold numbers"),
+            (lambda: kron(np.array([[1, None], [0, 1]]), np.eye(2)), ContractError, "must hold numbers"),
             (lambda: avg_io_fidelity(0.5, 10**400), ContractError, "dimension must be"),
         ],
         ids=[
@@ -434,9 +442,15 @@ class TestInputContract:
             "bloch_to_matrix_complex",
             "bloch_to_matrix_str",
             "canonical_form_complex",
+            "wrap_phase_complex",
+            "alpha_from_theta_complex",
+            "hadamard_t_contract_complex",
             "canonical_form_two_alpha",
             "matrix_to_obj_3x3",
             "matrix_to_obj_vector",
+            "matrix_to_obj_str",
+            "assert_unitary_bytes",
+            "kron_object",
             "avg_io_fidelity_huge_dim",
         ],
     )
@@ -448,6 +462,8 @@ class TestInputContract:
         x = np.array([0.1, -0.2, 0.3])
         assert _real_array(x, "x") is x
         np.testing.assert_array_equal(_real_array([1, 2**70, 0.5], "x"), [1.0, 2.0**70, 0.5])
+        # a matrix of numbers of any kind, Python ints beyond int64 too, is still read
+        assert matrix_to_obj([[2**70, 0], [0, True]])["rows"] == [[[2.0**70, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         # a float dimension stays accepted; an integer one up to float range too
         assert avg_io_fidelity(0.5, 2.0) == avg_io_fidelity(0.5, 2)
         assert avg_io_fidelity(0.5, 10**300) == (1 + 10**300 * 0.5) / (10**300 + 1.0)

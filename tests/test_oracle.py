@@ -11,6 +11,7 @@ from helpers import (
     ADVERSARIAL_SCALES,
     adversarial_devices,
     bloch_parts,
+    controlled_device,
     dressed,
     gram_forms,
     materialized_scan,
@@ -50,7 +51,7 @@ SWEEP_ATOL = 2e-15
 
 
 def gram_witness(v):
-    """The scan's (lower_bound, witness candidates) for the device v, without the sweep."""
+    """The scan's (lower_bound, top of h_0/8, witness candidates) for the device v, without the sweep."""
     return oracle._gram_witness(*kernels._scan_forms(v))
 
 
@@ -61,7 +62,31 @@ def lower_bound(v):
 
 def witnesses(v):
     """The scan's four witness candidates for the device v."""
-    return gram_witness(v)[1]
+    return gram_witness(v)[2]
+
+
+def witness_value(v):
+    """The lowest kernel value of the four witness candidates: the sweep's ceiling."""
+    return float(fidelity_from_bloch_batch(device_parts(v), witnesses(v)).min())
+
+
+def full_sweep_scan(v, config):
+    """minimax_scan with a margin no bound exceeds, so that its sweep skips no row."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_PRUNE_MARGIN", np.inf)
+        return minimax_scan(v, config)
+
+
+def assert_same_result(got, want):
+    """Two ScanResults equal field for field, bit for bit."""
+    assert (got.f_min, got.gap_to_closed_form) == (want.f_min, want.gap_to_closed_form)
+    assert (got.evaluations, got.lower_bound) == (want.evaluations, want.lower_bound)
+    assert got.worst_bloch.tobytes() == want.worst_bloch.tobytes()
+
+
+def swept_blocks(forms, offset, n, ceiling=np.inf):
+    """``_sweep``'s (rows, values) blocks, rows as arrays and values copied as they come."""
+    return [(np.array(rows), values.copy()) for rows, values in oracle._sweep(forms, offset, n, ceiling)]
 
 
 def assert_matches_materialized(v, config):
@@ -361,7 +386,8 @@ class TestStreamedSweep:
 
     @pytest.mark.parametrize("resolution", [100, 4104, 4105, 10_000, 100_000])
     def test_row_is_first_minimum(self, resolution, monkeypatch):
-        # the scan re-reads its sweep row through one one-row _sample_rows call
+        # the scan re-reads one row through one one-row _sample_rows call: the
+        # full sweep's first minimum whenever that row could win the final batch
         sample_rows, read = oracle._sample_rows, []
 
         def spy(offset, rows):
@@ -370,24 +396,115 @@ class TestStreamedSweep:
 
         monkeypatch.setattr(oracle, "_sample_rows", spy)
         for k, v in enumerate(self.ARGMIN_DEVICES):
-            values = sweep_values(device_parts(v), oracle._offset(ScanConfig(seed=k)), resolution)
+            config = ScanConfig(resolution=resolution, seed=k)
+            forms, offset = device_parts(v), oracle._offset(config)
+            values = sweep_values(forms, offset, resolution)
             assert not np.isnan(values).any()
             read.clear()
-            minimax_scan(v, ScanConfig(resolution=resolution, seed=k))
+            result = minimax_scan(v, config)
+            [[row]] = read
             # the row np.argmin picks: axis rows first, ties to the lower row
-            assert read == [[np.argmin(values)]]
+            first = int(np.argmin(values))
+            at_row, at_first = (
+                fidelity_from_bloch_batch(forms, sample_rows(offset, [i, i]))[0] for i in (row, first)
+            )
+            ceiling = witness_value(v)
+            if at_first <= ceiling:
+                assert row == first
+            else:
+                # neither row wins: the witness is f_min, as after a full sweep
+                assert at_row > ceiling and result.f_min == ceiling
+            assert_same_result(result, full_sweep_scan(v, config))
 
     def test_blocks_are_contiguous_from_the_axis_rows(self):
+        # with no ceiling the blocks' rows are ranges that tile the rows in order
         forms = device_parts(haar_unitary(4, np.random.default_rng(8)))
         offset = oracle._offset(ScanConfig(seed=8))
         for resolution in self.RESOLUTIONS:
-            blocks = [(start, len(values)) for start, values in oracle._sweep(forms, offset, resolution)]
-            assert blocks[0] == (0, len(AXIS_POINTS))
+            blocks = [(rows, len(values)) for rows, values in oracle._sweep(forms, offset, resolution)]
+            assert blocks[0] == (range(len(AXIS_POINTS)), len(AXIS_POINTS))
             # then one block per period k // 4096 of sequence indices k = 1..n - 8
             assert len(blocks) == 2 + (resolution - len(AXIS_POINTS)) // 4096
-            ends = [start + size for start, size in blocks]
-            assert [start for start, _ in blocks[1:]] == ends[:-1]
-            assert ends[-1] == resolution
+            assert all(type(rows) is range and rows.step == 1 and len(rows) == size for rows, size in blocks)
+            assert [rows.start for rows, _ in blocks[1:]] == [rows.stop for rows, _ in blocks[:-1]]
+            assert blocks[-1][0].stop == resolution
+
+    @staticmethod
+    def ceiling_devices(rng):
+        return [
+            haar_unitary(4, rng),
+            dressed(random_chamber_alpha(rng), rng),
+            canonical_gate(random_chamber_alpha(rng)),
+            dressed(ADVERSARIAL_ALPHAS["a1-eq-a2"], rng),
+        ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+        st.floats(0, 1),
+        st.sampled_from([100, 4104, 4105, 10_000]),
+    )
+    def test_ceiling_keeps_every_row_that_can_reach_it(self, device_seed, seed, level, resolution):
+        rng = np.random.default_rng(device_seed)
+        v = self.ceiling_devices(rng)[device_seed % 4]
+        forms, offset = device_parts(v), oracle._offset(ScanConfig(seed=seed))
+        full = sweep_values(forms, offset, resolution)
+        # ceilings from the bound up to the largest value, most of them low
+        bound = lower_bound(v)
+        ceiling = bound + level**4 * (full.max() - bound)
+        blocks = swept_blocks(forms, offset, resolution, ceiling)
+        # the axis rows always come whole, through the kernel
+        assert blocks[0][0].tolist() == list(range(len(AXIS_POINTS)))
+        rows = np.concatenate([rows for rows, _ in blocks])
+        values = np.concatenate([values for _, values in blocks])
+        assert np.all(np.diff(rows) > 0) and rows[-1] < resolution
+        # the full sweep's bits at every row yielded
+        assert values.tobytes() == full[rows].tobytes()
+        # every row that could reach the ceiling is yielded; a skipped one lies above it
+        reach = np.flatnonzero(full <= ceiling + oracle._PRUNE_MARGIN)
+        assert np.isin(reach, rows).all()
+        skipped = np.setdiff1d(np.arange(resolution), rows)
+        assert np.all(full[skipped] > ceiling + oracle._PRUNE_MARGIN / 2)
+
+    def test_lone_survivor_in_a_block(self):
+        # the ceiling at the lowest h_0/8 of period 1 (rows 4103..8198) leaves
+        # that row alone there: in mid-block, as the block's last row, and as a
+        # period's one row (4104 rows), where its neighbour is past the sample
+        v = haar_unitary(4, np.random.default_rng(12))
+        forms, offset = device_parts(v), oracle._offset(ScanConfig(seed=12))
+        full = sweep_values(forms, offset, 10_000)
+        points = sample_su2(ScanConfig(resolution=10_000, seed=12))
+        h0 = (kernels.pack(forms)[0] @ kernels.monomials(points.T)) / 8
+        lowest = 4103 + int(np.argmin(h0[4103:8199]))
+        assert lowest > 4103
+        for resolution, row in ((10_000, lowest), (lowest + 1, lowest), (4104, 4103)):
+            blocks = swept_blocks(forms, offset, resolution, h0[row])
+            assert [rows.tolist() for rows, _ in blocks if rows[0] >= 4103] == [[row]]
+            for rows, values in blocks:
+                assert values.tobytes() == full[rows].tobytes()
+
+    def test_scan_where_no_sequence_row_survives(self, monkeypatch):
+        batches = []
+
+        def spy(forms, ns):
+            batches.append(np.array(ns))
+            return fidelity_from_bloch_batch(forms, ns)
+
+        rng = np.random.default_rng(13)
+        for k, v in enumerate([dressed(random_chamber_alpha(rng, interior=True), rng) for _ in range(3)]):
+            config = ScanConfig(resolution=100_000, seed=k)
+            forms, offset = device_parts(v), oracle._offset(config)
+            # only the axis rows come through: the final batch is an axis row and the candidates
+            blocks = oracle._sweep(forms, offset, config.resolution, witness_value(v))
+            assert [rows for rows, _ in blocks] == [range(len(AXIS_POINTS))]
+            monkeypatch.setattr(oracle, "fidelity_from_bloch_batch", spy)
+            batches.clear()
+            result = minimax_scan(v, config)
+            monkeypatch.undo()
+            assert [len(batch) for batch in batches] == [4, len(AXIS_POINTS), 5]
+            assert result.f_min == witness_value(v)
+            assert_same_result(result, full_sweep_scan(v, config))
 
     @pytest.mark.parametrize("resolution", [4104, 4105, 2 * 4096 + 9])
     def test_trace_equals_the_whole_sample(self, tmp_path, resolution):
@@ -474,6 +591,24 @@ class TestStreamedSweep:
         for k, v in enumerate(devices):
             for resolution in (10_000, 4097, 8201):
                 assert_matches_materialized(v, ScanConfig(resolution=resolution, seed=k))
+
+
+    @pytest.mark.parametrize("resolution", [10_000, 100_000])
+    def test_pruned_scan_equals_full_sweep_and_materialized(self, resolution):
+        rng = np.random.default_rng(71)
+        devices = [haar_unitary(4, rng) for _ in range(44)]
+        devices += [canonical_gate(random_chamber_alpha(rng)) for _ in range(30)]
+        devices += [dressed(random_chamber_alpha(rng), rng) for _ in range(30)]
+        devices += [canonical_gate(alpha) for alpha in ADVERSARIAL_ALPHAS.values()]
+        devices += [dressed(alpha, rng) for alpha in ADVERSARIAL_ALPHAS.values()]
+        devices += [controlled_device(haar_unitary(2, rng), haar_unitary(2, rng)) for _ in range(20)]
+        devices += [optimal_interaction(sx, sz) for sx in (1, -1) for sz in (1, -1)]
+        devices += [np.eye(4, dtype=complex), np.eye(4)[[0, 2, 1, 3]]]
+        assert len(devices) >= 150
+        for k, v in enumerate(devices):
+            config = ScanConfig(resolution=resolution, seed=k)
+            result, _ = assert_matches_materialized(v, config)
+            assert_same_result(result, full_sweep_scan(v, config))
 
 
 class TestLowerBound:
@@ -626,14 +761,19 @@ class TestWitness:
         for v in (haar_unitary(4, rng), optimal_interaction(1, 1)):
             for resolution in (100, 4100, 10_000):
                 config = ScanConfig(resolution=resolution, seed=1)
-                values = sweep_values(device_parts(v), oracle._offset(config), resolution)
+                forms, offset = device_parts(v), oracle._offset(config)
+                swept = swept_blocks(forms, offset, resolution, witness_value(v))
+                rows = np.concatenate([rows for rows, _ in swept])
+                row = rows[np.argmin(np.concatenate([values for _, values in swept]))]
                 batches.clear()
                 result = minimax_scan(v, config)
                 assert result.evaluations == resolution + 4
-                # the 8 axis rows, then the sweep's best row with the 4 witness candidates
-                axis, points = batches
+                # the 4 witness candidates, the 8 axis rows, then the first
+                # minimum of the rows swept under their ceiling with the candidates
+                candidates, axis, points = batches
+                np.testing.assert_array_equal(candidates, witnesses(v))
                 np.testing.assert_array_equal(axis, AXIS_POINTS)
-                np.testing.assert_array_equal(points[0], sample_su2(config)[np.argmin(values)])
+                np.testing.assert_array_equal(points[0], sample_su2(config)[row])
                 np.testing.assert_array_equal(points[1:], witnesses(v))
 
 
