@@ -10,7 +10,7 @@ points.  The scan sees the device only as the two arrays that
 Q_0 gives a proven lower bound, and D steers the search for a witness point
 that attains it, so the scan evaluates that witness first and reports the
 lower of the two minima.  Since f >= h_0/8 = n^T Q_0 n / 8, the sweep skips
-the points whose h_0/8 shows them to lie above the witness.
+each period of points whose h_0/8 shows them all to lie above the witness.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ _SWEEP_ROWS = np.array([0, 1, 4, 2, 3, 5, 6, 7, 8, 9])
 _WEIGHT_ROWS = (slice(0, 3), slice(3, 7), slice(7, 10))
 # row g keeps the coefficients of _WEIGHT_ROWS[g]: the sweep's bound on h_0
 _WEIGHT_MASK = np.repeat(np.eye(3), (3, 4, 3), axis=1)
-# Row stride of the sweep's (10, m) monomial buffer: at 4096 doubles every row
-# of a column falls at the same 32 KiB cache offset, which slows the scaling.
-_BLOCK_STRIDE = (1 << _TABLE_BITS) + 8
 # The sweep skips a point whose h_0/8 lies more than this above the witness's
 # value (``_sweep``).  It covers the rounding between the bound's h_0 and the
 # kernel's (~1e-14) and between a sweep value and the kernel's at that row
@@ -292,39 +289,40 @@ def _period_coefficients(forms, offset: np.ndarray, periods: int) -> np.ndarray:
 
 
 def _sweep(forms, offset: np.ndarray, n: int, ceiling: float = np.inf):
-    """Yield (rows, values) blocks of the objective at the first n > 8 sample rows.
+    """Yield (first row, values) blocks of the objective at the first n > 8 sample rows.
 
-    The first block is the axis rows, through the kernel as one batch; then
-    come the periods' blocks, in row order, each value within 2e-15 of the
-    kernel's at that row of ``sample_su2``.  The sequence points are never
-    built: point k = 4096 q + j takes the table's unit monomials at j, each
-    scaled by the weight W_k puts on it (1 - u, sqrt(u (1 - u)) or u, with
-    u_k as in ``_sample_rows``), against period q's coefficients
+    The blocks are contiguous and in row order: the axis rows, through the
+    kernel as one batch, then one block per period, each value within 2e-15
+    of the kernel's at that row of ``sample_su2``.  The sequence points are
+    never built: point k = 4096 q + j takes the table's unit monomials at j,
+    each scaled by the weight W_k puts on it (1 - u, sqrt(u (1 - u)) or u,
+    with u_k as in ``_sample_rows``), against period q's coefficients
     (``_period_coefficients``).  Every block reuses the same buffers, so the
     sweep holds O(4096) values whatever n is, and a block's values are valid
     only until the next block is drawn: a reader that keeps them copies
-    them.  A lone point is computed with a neighbour: alone, it would make
-    the period's product a matrix-vector one, which can round differently
-    (see kernels), so no value depends on n or on the ceiling.
+    them.  A lone last point is computed with its successor: alone, it would
+    make the period's product a matrix-vector one, which can round
+    differently (see kernels), so no value depends on n.
 
-    With the default ceiling every period yields one block, and the blocks'
-    rows, each a range, tile the rows in order.  With a finite ceiling a
-    period yields only its rows whose h_0/8 may lie within ``_PRUNE_MARGIN``
-    of the ceiling, as an index array, with the bits the full sweep gives
-    them, and a period with none yields nothing.  The bound on h_0 is one
-    (3, 10) product of h_0's coefficients, split by weight, against the
-    table, then the three weights.  A skipped row's value is at least its
-    h_0/8 in floating point too (the tail adds a square root to h_0), so it
-    lies above the ceiling by the margin, less the rounding between the two
-    routes to h_0 (~1e-14).
+    With the default ceiling the blocks tile the rows.  With a finite one a
+    period is skipped, and yields nothing, when no row's h_0/8 lies within
+    ``_PRUNE_MARGIN`` of the ceiling; the bound on h_0 is one (3, 10)
+    product of h_0's coefficients, split by weight, against the table, then
+    the three weights.  A skipped row's value is at least its h_0/8 in
+    floating point too (the tail adds a square root to h_0), so it lies
+    above the ceiling by the margin, less the rounding between the two
+    routes to h_0 (~1e-14).  A period that is not skipped is computed as
+    with no ceiling, so its values keep their bits, and it ends the
+    bounding: a bound costs about a third of a block, and where the rows
+    near the ceiling reach one period they mostly reach every later one
+    too, as on a near-optimal device.
     """
     n_axis = len(AXIS_POINTS)
-    yield range(n_axis), fidelity_from_bloch_batch(forms, AXIS_POINTS)
+    yield 0, fidelity_from_bloch_batch(forms, AXIS_POINTS)
     last = n - n_axis  # sequence indices 1..last
     size = 1 << _TABLE_BITS
     table, ramp = _monomial_table(), np.arange(size, dtype=float)
-    monomials, scratch = np.empty((10, _BLOCK_STRIDE)), np.empty(4 * size)
-    block_values = np.empty(size)
+    monomials, scratch, block_values = np.empty(10 * size), np.empty(4 * size), np.empty(size)
     limit, grouped = 8 * (ceiling + _PRUNE_MARGIN), np.empty((3, 10))
     for q, coeffs in enumerate(_period_coefficients(forms, offset, (last >> _TABLE_BITS) + 1)):
         base = q << _TABLE_BITS
@@ -338,31 +336,22 @@ def _sweep(forms, offset: np.ndarray, n: int, ceiling: float = np.inf):
         np.subtract(1.0, w_high, out=w_low)
         np.multiply(w_high, w_low, out=w_cross)
         np.sqrt(w_cross, out=w_cross)
-        first, columns = base + lo + n_axis - 1, table[:, lo:hi]
+        block = monomials[: 10 * m].reshape(10, m)
         if limit < np.inf:
             np.multiply(coeffs[0], _WEIGHT_MASK, out=grouped)
-            parts = np.matmul(grouped, columns, out=monomials[:3, :m])
+            parts = np.matmul(grouped, table[:, lo:hi], out=block[:3])
             bound = np.multiply(parts[0], w_low, out=block_values[:m])
             for part, weight in zip(parts[1:], weights[1:]):
                 part *= weight
                 bound += part
-            if not bound[:count].min() <= limit:  # one pass, where most blocks end
+            if not bound[:count].min() <= limit:
                 continue
-            keep = np.flatnonzero(bound[:count] <= limit)
-            rows, cols = first + keep, keep
-            if len(keep) == 1:
-                cols = np.append(keep, keep[0] + 1 if keep[0] + 1 < m else keep[0] - 1)
-            m = len(cols)
-            columns = np.take(columns, cols, axis=1, out=monomials[:, :m], mode="clip")
-            weights = [weight[cols] for weight in weights]
-        else:
-            rows = range(first, first + count)
-        block = monomials[:, :m]
-        for group, weight in zip(_WEIGHT_ROWS, weights):
-            np.multiply(columns[group], weight, out=block[group])
+            limit = np.inf
+        for rows, weight in zip(_WEIGHT_ROWS, weights):
+            np.multiply(table[rows, lo:hi], weight, out=block[rows])
         # the weights are spent, so h_a overwrites them
         hs = np.matmul(coeffs, block, out=scratch[: 4 * m].reshape(4, m))
-        yield rows, kernels.fidelity_tail(hs, block_values[:m])[: len(rows)]
+        yield base + lo + n_axis - 1, kernels.fidelity_tail(hs, block_values[:m])[:count]
 
 
 def _gram_witness(forms, det_form) -> tuple[float, float, np.ndarray]:
@@ -400,11 +389,11 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
     The four witness candidates (``_gram_witness``) go through the kernel
     first, as one batch.  The sweep (``_sweep``) then covers every row of
     the ``sample_su2`` sample without building the rows, with the
-    candidates' lowest value as its ceiling: it skips the rows whose h_0/8
-    shows them to lie above it, none of which could win below.  The scan
-    keeps the row of the first minimum among the rows the sweep yields
-    (axis rows first, ties to the lower row), the row a full sweep would
-    keep whenever that row could win.  That row is rebuilt from its index
+    candidates' lowest value as its ceiling: it skips the periods whose
+    rows' h_0/8 shows them all to lie above it, none of which could win
+    below.  The scan keeps the row of the first minimum among the rows the
+    sweep yields (axis rows first, ties to the lower row), the row a full
+    sweep would keep whenever that row could win.  That row is rebuilt from its index
     and goes through the kernel in one call with the four candidates, so
     ``f_min`` is the kernel's value at ``worst_bloch``: the lowest of the
     five, ties to the sweep row.  The sweep takes no ceiling, so skips
@@ -425,11 +414,12 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
         writer = None if fh is None else csv.writer(fh)
         if writer is not None:
             writer.writerow(["index", "n0", "n1", "n2", "n3", "fidelity"])
-        for rows, values in _sweep(forms, offset, config.resolution, ceiling):
+        for start, values in _sweep(forms, offset, config.resolution, ceiling):
             j = int(values.argmin())
-            if rows[0] == 0 or values[j] < lowest:
-                lowest, best_row = values[j], rows[j]
+            if start == 0 or values[j] < lowest:
+                lowest, best_row = values[j], start + j
             if writer is not None:
+                rows = range(start, start + len(values))
                 block = zip(rows, _sample_rows(offset, rows).tolist(), values.tolist())
                 writer.writerows([i, *map(repr, p), repr(f)] for i, p, f in block)
 

@@ -85,8 +85,9 @@ def assert_same_result(got, want):
 
 
 def swept_blocks(forms, offset, n, ceiling=np.inf):
-    """``_sweep``'s (rows, values) blocks, rows as arrays and values copied as they come."""
-    return [(np.array(rows), values.copy()) for rows, values in oracle._sweep(forms, offset, n, ceiling)]
+    """``_sweep``'s blocks as (rows, values) arrays, the values copied as they come."""
+    blocks = oracle._sweep(forms, offset, n, ceiling)
+    return [(np.arange(start, start + len(values)), values.copy()) for start, values in blocks]
 
 
 def assert_matches_materialized(v, config):
@@ -417,17 +418,17 @@ class TestStreamedSweep:
             assert_same_result(result, full_sweep_scan(v, config))
 
     def test_blocks_are_contiguous_from_the_axis_rows(self):
-        # with no ceiling the blocks' rows are ranges that tile the rows in order
+        # with no ceiling the blocks tile the rows in order
         forms = device_parts(haar_unitary(4, np.random.default_rng(8)))
         offset = oracle._offset(ScanConfig(seed=8))
         for resolution in self.RESOLUTIONS:
-            blocks = [(rows, len(values)) for rows, values in oracle._sweep(forms, offset, resolution)]
-            assert blocks[0] == (range(len(AXIS_POINTS)), len(AXIS_POINTS))
+            blocks = [(start, len(values)) for start, values in oracle._sweep(forms, offset, resolution)]
+            assert blocks[0] == (0, len(AXIS_POINTS))
             # then one block per period k // 4096 of sequence indices k = 1..n - 8
             assert len(blocks) == 2 + (resolution - len(AXIS_POINTS)) // 4096
-            assert all(type(rows) is range and rows.step == 1 and len(rows) == size for rows, size in blocks)
-            assert [rows.start for rows, _ in blocks[1:]] == [rows.stop for rows, _ in blocks[:-1]]
-            assert blocks[-1][0].stop == resolution
+            ends = [start + size for start, size in blocks]
+            assert [start for start, _ in blocks[1:]] == ends[:-1]
+            assert ends[-1] == resolution
 
     @staticmethod
     def ceiling_devices(rng):
@@ -454,8 +455,10 @@ class TestStreamedSweep:
         bound = lower_bound(v)
         ceiling = bound + level**4 * (full.max() - bound)
         blocks = swept_blocks(forms, offset, resolution, ceiling)
-        # the axis rows always come whole, through the kernel
-        assert blocks[0][0].tolist() == list(range(len(AXIS_POINTS)))
+        # the axis block, then whole periods: none skipped after the first one yielded
+        whole = [(start, len(values)) for start, values in oracle._sweep(forms, offset, resolution)]
+        kept = [(rows[0], len(rows)) for rows, _ in blocks]
+        assert kept == whole[:1] + whole[len(whole) + 1 - len(kept) :]
         rows = np.concatenate([rows for rows, _ in blocks])
         values = np.concatenate([values for _, values in blocks])
         assert np.all(np.diff(rows) > 0) and rows[-1] < resolution
@@ -467,22 +470,43 @@ class TestStreamedSweep:
         skipped = np.setdiff1d(np.arange(resolution), rows)
         assert np.all(full[skipped] > ceiling + oracle._PRUNE_MARGIN / 2)
 
+    @staticmethod
+    def h0_over_8(forms, config):
+        """h_0/8 at every row of the sample, by the kernel's monomials."""
+        return (kernels.pack(forms)[0] @ kernels.monomials(sample_su2(config).T)) / 8
+
     def test_lone_survivor_in_a_block(self):
-        # the ceiling at the lowest h_0/8 of period 1 (rows 4103..8198) leaves
-        # that row alone there: in mid-block, as the block's last row, and as a
-        # period's one row (4104 rows), where its neighbour is past the sample
+        # the ceiling at the sequence rows' lowest h_0/8 leaves that row alone
+        # within the margin; it lies in period 1 (rows 4103..8198), so period 0
+        # is skipped and period 1 comes whole, as do the later ones, in mid-block
+        # and as the sample's last row
         v = haar_unitary(4, np.random.default_rng(12))
-        forms, offset = device_parts(v), oracle._offset(ScanConfig(seed=12))
+        config = ScanConfig(resolution=10_000, seed=12)
+        forms, offset = device_parts(v), oracle._offset(config)
         full = sweep_values(forms, offset, 10_000)
-        points = sample_su2(ScanConfig(resolution=10_000, seed=12))
-        h0 = (kernels.pack(forms)[0] @ kernels.monomials(points.T)) / 8
-        lowest = 4103 + int(np.argmin(h0[4103:8199]))
-        assert lowest > 4103
-        for resolution, row in ((10_000, lowest), (lowest + 1, lowest), (4104, 4103)):
-            blocks = swept_blocks(forms, offset, resolution, h0[row])
-            assert [rows.tolist() for rows, _ in blocks if rows[0] >= 4103] == [[row]]
+        h0 = self.h0_over_8(forms, config)[len(AXIS_POINTS) :]
+        row = len(AXIS_POINTS) + int(np.argmin(h0))
+        assert 4103 < row < 8198 and np.sort(h0)[1] > h0.min() + 2 * oracle._PRUNE_MARGIN
+        for resolution in (10_000, row + 1):
+            blocks = swept_blocks(forms, offset, resolution, h0.min())
+            assert [rows[0] for rows, _ in blocks] == [0, 4103, 8199][: len(blocks)]
+            assert blocks[-1][0][-1] == resolution - 1
             for rows, values in blocks:
                 assert values.tobytes() == full[rows].tobytes()
+
+    def test_lone_row_of_a_period(self):
+        # at 9 rows period 0 holds row 8 alone, computed with row 9's point;
+        # that point's lower h_0/8 neither keeps row 8 nor changes its value
+        v = haar_unitary(4, np.random.default_rng(14))
+        forms, offset = device_parts(v), oracle._offset(ScanConfig(seed=3))
+        full = sweep_values(forms, offset, 10)
+        h0 = self.h0_over_8(forms, ScanConfig(resolution=100, seed=3))
+        below = h0[8] - 10 * oracle._PRUNE_MARGIN
+        assert h0[9] < below
+        blocks = swept_blocks(forms, offset, 9, h0[8])
+        assert [rows.tolist() for rows, _ in blocks] == [list(range(8)), [8]]
+        assert blocks[1][1].tobytes() == full[8:9].tobytes()
+        assert [rows.tolist() for rows, _ in swept_blocks(forms, offset, 9, below)] == [list(range(8))]
 
     def test_scan_where_no_sequence_row_survives(self, monkeypatch):
         batches = []
@@ -497,7 +521,7 @@ class TestStreamedSweep:
             forms, offset = device_parts(v), oracle._offset(config)
             # only the axis rows come through: the final batch is an axis row and the candidates
             blocks = oracle._sweep(forms, offset, config.resolution, witness_value(v))
-            assert [rows for rows, _ in blocks] == [range(len(AXIS_POINTS))]
+            assert [(start, len(values)) for start, values in blocks] == [(0, len(AXIS_POINTS))]
             monkeypatch.setattr(oracle, "fidelity_from_bloch_batch", spy)
             batches.clear()
             result = minimax_scan(v, config)
@@ -761,20 +785,24 @@ class TestWitness:
         for v in (haar_unitary(4, rng), optimal_interaction(1, 1)):
             for resolution in (100, 4100, 10_000):
                 config = ScanConfig(resolution=resolution, seed=1)
-                forms, offset = device_parts(v), oracle._offset(config)
-                swept = swept_blocks(forms, offset, resolution, witness_value(v))
-                rows = np.concatenate([rows for rows, _ in swept])
-                row = rows[np.argmin(np.concatenate([values for _, values in swept]))]
+                forms, sample = device_parts(v), sample_su2(config)
+                first = int(np.argmin(sweep_values(forms, oracle._offset(config), resolution)))
+                at_first = fidelity_from_bloch_batch(forms, sample[[first, first]])[0]
+                ceiling = witness_value(v)
                 batches.clear()
                 result = minimax_scan(v, config)
                 assert result.evaluations == resolution + 4
-                # the 4 witness candidates, the 8 axis rows, then the first
-                # minimum of the rows swept under their ceiling with the candidates
+                # the 4 witness candidates, the 8 axis rows, then one sweep row
+                # with the candidates
                 candidates, axis, points = batches
                 np.testing.assert_array_equal(candidates, witnesses(v))
                 np.testing.assert_array_equal(axis, AXIS_POINTS)
-                np.testing.assert_array_equal(points[0], sample_su2(config)[row])
                 np.testing.assert_array_equal(points[1:], witnesses(v))
+                # the full sweep's first minimum whenever it could win; else the witness wins
+                if at_first <= ceiling:
+                    np.testing.assert_array_equal(points[0], sample[first])
+                else:
+                    assert result.f_min == ceiling
 
 
 class TestSigmaDominance:
