@@ -344,7 +344,7 @@ def _sweep(forms, offset: np.ndarray, n: int, ceiling: float = np.inf):
             for part, weight in zip(parts[1:], weights[1:]):
                 part *= weight
                 bound += part
-            if not bound[:count].min() <= limit:
+            if not bound[:count].min() <= limit:  # a NaN bound keeps the period
                 continue
             limit = np.inf
         for rows, weight in zip(_WEIGHT_ROWS, weights):
