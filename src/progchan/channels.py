@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ContractError
 from .matops import (
-    _ENTRY_BOUND, _is_real, as_matrix, assert_density, assert_unitary, hermitian_eig, kron,
+    _is_real, _within_entry_bound, as_matrix, assert_density, assert_unitary, hermitian_eig, kron,
     partial_trace,
 )
 from .minimax import s_operator
@@ -34,10 +34,10 @@ class KrausChannel:
         ops = tuple(as_matrix(k, "Kraus operator", (2,)) for k in self.ops)
         if not ops:
             raise ContractError("Kraus family must be non-empty")
-        # a complete family's entries are within 1 in modulus, so a real or
-        # imaginary part beyond _ENTRY_BOUND fails before the product below can
-        # meet an infinity, NaN or overflow; "not <=" fails the NaN maximum too
-        if not np.max(np.abs(np.array(ops).view(float))) <= _ENTRY_BOUND:
+        # a complete family's entries are within 1 in modulus, so an entry out
+        # of bounds fails before the product below can meet an infinity, NaN
+        # or overflow
+        if not _within_entry_bound(ops):
             raise ContractError("Kraus family not complete: an entry is not finite or beyond 2")
         object.__setattr__(self, "ops", ops)
         defect = self.completeness_defect()

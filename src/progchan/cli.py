@@ -17,6 +17,7 @@ from . import circuits, oracle
 from .channels import apply_programmed, program_channel, program_overlap
 from .errors import ContractError, DecompositionError, MatrixFormatError
 from .matio import load_matrix, matrix_to_obj
+from .matops import _check_count
 # s_operator is unused here but stays bound: perfbench/tracing.py rebinds it
 # in this module by name.
 from .minimax import (  # noqa: F401
@@ -191,7 +192,7 @@ def _verify_hadamard_rows(seed: int) -> list:
 
 
 def _cmd_verify(args) -> int:
-    oracle._check_count("seed", args.seed)  # the rule ScanConfig applies to the oracle's seed
+    _check_count("seed", args.seed)  # the rule ScanConfig applies to the oracle's seed
     rows = []
     if args.suite in ("identities", "all"):
         rows += _verify_identities_rows()
@@ -241,10 +242,7 @@ def _cmd_scan(args) -> int:
     import csv as csv_mod
 
     n = args.alpha_grid
-    if n < 2:
-        raise MatrixFormatError("--alpha-grid must be >= 2")
-    if n > MAX_ALPHA_GRID:
-        raise MatrixFormatError(f"--alpha-grid must be <= MAX_ALPHA_GRID = {MAX_ALPHA_GRID}, got {n}")
+    _check_count("--alpha-grid", n, 2, ("MAX_ALPHA_GRID", MAX_ALPHA_GRID))
     grid = np.linspace(0.0, np.pi / 4, n)
     # the (a2, a3) pairs with |a3| <= a2, a2-major; each a1 takes those with a2 <= a1
     a2, a3 = np.meshgrid(grid, np.linspace(-np.pi / 4, np.pi / 4, 2 * n - 1), indexing="ij")

@@ -15,7 +15,8 @@ A point's value does not depend on the batch around it, except in a batch of
 a single row (``fidelity_from_bloch``): numpy computes that (4, 10) x (10, 1)
 product on a different BLAS path, which can round the last bit differently
 (up to 2.2e-16 in f).  Any split into pieces of two or more rows gives
-bit-identical values, and the oracle's batches have 8 and 5 rows.
+bit-identical values, and the oracle's batches have 4, 8 and 5 rows (8 and
+5 under a trace).
 """
 
 from __future__ import annotations

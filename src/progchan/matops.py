@@ -4,8 +4,9 @@ package's input contract.
 Everything downstream (states, gates, the S operator) lives in C^2 or C^4,
 so the helpers here deliberately reject anything larger.  ``assert_unitary``
 and ``assert_density`` decide shape, unitarity and density for every caller,
-and ``_is_integer`` and ``_is_real`` which scalars count as integers and reals
-(``_real_array`` applies the second to arrays).
+``_is_integer`` and ``_is_real`` which scalars count as integers and reals
+(``_check_count`` applies the first to counts, ``_real_array`` the second to
+arrays), and ``_within_entry_bound`` which entries are in bounds.
 """
 
 from __future__ import annotations
@@ -23,13 +24,24 @@ ALGEBRA_TOL = 1e-12
 #: tolerance for decomposition residuals
 DECOMP_TOL = 1e-10
 # no entry of a unitary, a density matrix, a complete Kraus family or a Bloch
-# vector has a real or imaginary part this large; checked before any product
+# vector has a real or imaginary part this large (``_within_entry_bound``)
 _ENTRY_BOUND = 2.0
 
 
 def _is_integer(x) -> bool:
     """True for a Python or numpy integer; False for a bool, an np.bool_ or a float."""
     return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _check_count(name: str, value, lowest: int = 0, cap: tuple[str, int] | None = None) -> None:
+    """ContractError unless value is an integer count of at least ``lowest``
+    and, given a (constant name, bound) ``cap``, at most the bound."""
+    if not _is_integer(value):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    if value < lowest:
+        raise ContractError(f"{name} must be >= {lowest}, got {value}")
+    if cap is not None and value > cap[1]:
+        raise ContractError(f"{name} must be <= {cap[0]} = {cap[1]}, got {value}")
 
 
 def _is_real(x) -> bool:
@@ -49,6 +61,13 @@ def _real_array(x, name: str) -> np.ndarray:
     if a.dtype.kind not in "iuf":
         raise ContractError(f"{name} must hold real numbers, got {a.dtype} entries")
     return a.astype(float, copy=False)
+
+
+def _within_entry_bound(a, axis=None):
+    """Whether every real and imaginary part of a, over ``axis`` (all by default),
+    lies within ``_ENTRY_BOUND``; a NaN fails.  Callers check it before any product."""
+    parts = np.abs(np.ascontiguousarray(a, dtype=complex).view(float))
+    return (parts <= _ENTRY_BOUND).all(axis=axis)
 
 
 def as_matrix(m, name: str = "matrix", dims: tuple = SUPPORTED_DIMS) -> np.ndarray:
@@ -110,18 +129,15 @@ def density_mask(ms) -> np.ndarray:
     and positive semidefinite (to -DECOMP_TOL).
 
     A state that passes has Re a, Re d in [-tol, 1 + 2 tol], |Im a|, |Im d|
-    <= tol/2 and |b|, |c| below 1/2 + 2 tol, so a real or imaginary part
-    beyond ``_ENTRY_BOUND`` fails it before any arithmetic: no NaN, infinity
-    or overflow reaches the tests.
+    <= tol/2 and |b|, |c| below 1/2 + 2 tol, so an entry beyond the entry
+    bound (``_within_entry_bound``) fails it before any arithmetic: no NaN,
+    infinity or overflow reaches the tests.
     Only states that pass the cheap tests reach the closed-form smallest
     eigenvalue.  For [[a, b], [c, d]], m - m^dag holds 2i Im a, 2i Im d,
     b - c^* and -(b - c^*)^*.
     """
     ms = np.asarray(ms, dtype=complex)
-    # the real and imaginary parts; "<=" is False for NaN, so every
-    # non-finite state fails here too
-    parts = np.abs(np.ascontiguousarray(ms).view(float))
-    ok = (parts <= _ENTRY_BOUND).all(axis=(-2, -1))
+    ok = _within_entry_bound(ms, axis=(-2, -1))
     finite = ms[ok]
     a, b, c, d = finite[:, 0, 0], finite[:, 0, 1], finite[:, 1, 0], finite[:, 1, 1]
     trace = a + d
@@ -136,10 +152,8 @@ def density_mask(ms) -> np.ndarray:
 def assert_unitary(m, dim: int, name: str = "matrix") -> np.ndarray:
     """A dim x dim unitary, or DimensionError / ContractError naming ``name``."""
     m = as_matrix(m, name, (dim,))
-    # a part beyond _ENTRY_BOUND fails before the product can overflow;
-    # written as "<=" inside "not" so that a NaN fails the check
-    bounded = np.abs(np.ascontiguousarray(m).view(float)).max() <= _ENTRY_BOUND
-    if not (bounded and np.max(np.abs(m.conj().T @ m - np.eye(dim))) <= DECOMP_TOL):
+    # "not <=" so that a NaN fails the check
+    if not (_within_entry_bound(m) and np.max(np.abs(m.conj().T @ m - np.eye(dim))) <= DECOMP_TOL):
         raise ContractError(f"{name} is not unitary at tolerance {DECOMP_TOL:g}")
     return m
 

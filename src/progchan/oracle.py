@@ -8,7 +8,7 @@ no points and yields its values a period at a time, so a scan's memory, a
 points.  The scan sees the device only as the two arrays that
 ``kernels._scan_forms`` builds: the real forms Q and the determinant form D.
 Q_0 gives a proven lower bound, and D steers the search for a witness point
-that attains it, so the scan evaluates that witness first and reports the
+that attains it, so the scan evaluates that witness too and reports the
 lower of the two minima.  Since f >= h_0/8 = n^T Q_0 n / 8, the sweep skips
 each period of points whose h_0/8 shows them all to lie above the witness.
 """
@@ -24,11 +24,10 @@ import numpy as np
 
 from . import kernels
 from .channels import program_overlap
-from .errors import ContractError
 # device_parts and fidelity_from_bloch are unused here but stay bound:
 # perfbench/tracing.py rebinds the kernel entry points in this module by name.
 from .kernels import device_parts, fidelity_from_bloch, fidelity_from_bloch_batch  # noqa: F401
-from .matops import _is_integer
+from .matops import _check_count
 from .minimax import worst_case_fidelity
 
 # Signed axis points +-e_j; the closed-form minimum always sits on one of
@@ -66,17 +65,6 @@ WITNESS_ANGLES = 8
 MAX_RESOLUTION = 10**8
 #: largest sigma sample count: 10**6 programs take ~320 MB at once
 MAX_SIGMA_SAMPLES = 10**6
-
-
-def _check_count(name: str, value, lowest: int = 0, cap: tuple[str, int] | None = None) -> None:
-    """ContractError unless value is an integer count of at least ``lowest``
-    and, given a (constant name, bound) ``cap``, at most the bound."""
-    if not _is_integer(value):
-        raise ContractError(f"{name} must be an integer, got {value!r}")
-    if value < lowest:
-        raise ContractError(f"{name} must be >= {lowest}, got {value}")
-    if cap is not None and value > cap[1]:
-        raise ContractError(f"{name} must be <= {cap[0]} = {cap[1]}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -315,7 +303,9 @@ def _sweep(forms, offset: np.ndarray, n: int, ceiling: float = np.inf):
     with no ceiling, so its values keep their bits, and it ends the
     bounding: a bound costs about a third of a block, and where the rows
     near the ceiling reach one period they mostly reach every later one
-    too, as on a near-optimal device.
+    too, as on a near-optimal device.  This rule alone decides what the
+    sweep skips: where every h_0/8 meets the ceiling, as on an optimal
+    device (Q_0 = 2 I), the sweep is the full one, for one bound more.
     """
     n_axis = len(AXIS_POINTS)
     yield 0, fidelity_from_bloch_batch(forms, AXIS_POINTS)
@@ -354,12 +344,12 @@ def _sweep(forms, offset: np.ndarray, n: int, ceiling: float = np.inf):
         yield base + lo + n_axis - 1, kernels.fidelity_tail(hs, block_values[:m])[:count]
 
 
-def _gram_witness(forms, det_form) -> tuple[float, float, np.ndarray]:
-    """The ends of spec(Q)/8, Q = forms[0], and four unit Bloch points where f may meet the low end.
+def _gram_witness(forms, det_form) -> tuple[float, np.ndarray]:
+    """The bound lambda_min(Q)/8, Q = forms[0], and four unit Bloch points where f may meet it.
 
-    h_0/8 = n^T Q n / 8 spans [lambda_min, lambda_max](Q)/8 on S^3, and the
-    low end is the bound: ||S(n)||_F^2 = n^T Q n, and f(n) = lambda_max(S^dag
-    S)/4 >= ||S||_F^2/8, so no kernel value lies below it.  It is tight:
+    h_0/8 = n^T Q n / 8 is at least lambda_min(Q)/8 on S^3, and so is f:
+    ||S(n)||_F^2 = n^T Q n, and f(n) = lambda_max(S^dag S)/4 >=
+    ||S||_F^2/8, so no kernel value lies below the bound.  It is tight:
     spec(Q)/8 is {|t_j|^2/4}, so the bound is the closed form's F(V), reached
     here without the decomposition or the t-vector.
 
@@ -370,7 +360,7 @@ def _gram_witness(forms, det_form) -> tuple[float, float, np.ndarray]:
     top eigenvector of Re(e^{-i phi} E_k^T D E_k) at the grid angle phi whose
     top eigenvalue is largest; row 0 is the lowest eigenvector.  One row per
     k stands in for E, so no tolerance decides its dimension; the kernel
-    picks the best.  One eigh of Q serves the range and the witness.
+    picks the best.  One eigh of Q serves the bound and the witness.
     """
     spectrum, vecs = np.linalg.eigh(forms[0])
     turns = np.exp(-1j * np.pi * np.arange(WITNESS_ANGLES) / WITNESS_ANGLES)[:, None, None]
@@ -380,7 +370,7 @@ def _gram_witness(forms, det_form) -> tuple[float, float, np.ndarray]:
         tops, coeffs = np.linalg.eigh((turns * (span.T @ det_form @ span)).real)
         out[k - 1] = span @ coeffs[np.argmax(tops[:, -1]), :, -1]
     out /= np.linalg.norm(out, axis=1)[:, None]
-    return float(spectrum[0]) / 8, float(spectrum[-1]) / 8, out
+    return float(spectrum[0]) / 8, out
 
 
 def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
@@ -389,26 +379,25 @@ def minimax_scan(v, config: ScanConfig, trace_path=None) -> ScanResult:
     The four witness candidates (``_gram_witness``) go through the kernel
     first, as one batch.  The sweep (``_sweep``) then covers every row of
     the ``sample_su2`` sample without building the rows, with the
-    candidates' lowest value as its ceiling: it skips the periods whose
-    rows' h_0/8 shows them all to lie above it, none of which could win
-    below.  The scan keeps the row of the first minimum among the rows the
-    sweep yields (axis rows first, ties to the lower row), the row a full
-    sweep would keep whenever that row could win.  That row is rebuilt from its index
-    and goes through the kernel in one call with the four candidates, so
-    ``f_min`` is the kernel's value at ``worst_bloch``: the lowest of the
-    five, ties to the sweep row.  The sweep takes no ceiling, so skips
-    nothing, under a trace or where no point's h_0/8 lies above the
-    ceiling, as on an optimal device (Q = 2 I).  ``trace_path`` optionally
-    writes a CSV of (index, n0..n3, fidelity) for every sweep row, opened
-    before the sweep; each block's rows are rebuilt (``_sample_rows``) and
-    written as the block arrives.
+    candidates' lowest value as its ceiling: the sweep alone decides which
+    periods to skip, none of which could win below it.  The scan keeps the
+    row of the first minimum among the rows the sweep yields (axis rows
+    first, ties to the lower row), the row a full sweep would keep whenever
+    that row could win.  That row is rebuilt from its index and goes
+    through the kernel in one call with the four candidates, so ``f_min``
+    is the kernel's value at ``worst_bloch``: the lowest of the five, ties
+    to the sweep row.  ``trace_path`` optionally writes a CSV of (index,
+    n0..n3, fidelity) for every sweep row, opened before the sweep; each
+    block's rows are rebuilt (``_sample_rows``) and written as the block
+    arrives.  A trace takes every row, so the sweep gets no ceiling and
+    the candidates' first batch is not run.
     """
     forms, det_form = kernels._scan_forms(v)
     offset = _offset(config)
-    lower_bound, top, candidates = _gram_witness(forms, det_form)
-    ceiling = float(fidelity_from_bloch_batch(forms, candidates).min())
-    if trace_path is not None or top <= ceiling + _PRUNE_MARGIN:
-        ceiling = np.inf
+    lower_bound, candidates = _gram_witness(forms, det_form)
+    ceiling = np.inf
+    if trace_path is None:
+        ceiling = float(fidelity_from_bloch_batch(forms, candidates).min())
     trace = contextlib.nullcontext() if trace_path is None else open(trace_path, "w", newline="")
     with trace as fh:
         writer = None if fh is None else csv.writer(fh)

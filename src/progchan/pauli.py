@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .matops import _ENTRY_BOUND, _is_integer, _real_array, assert_unitary
+from .matops import _real_array, _within_entry_bound, assert_unitary
 
 PAULI = np.array(
     [
@@ -40,13 +40,6 @@ S3_TOL = 1e-12
 _SUM_RULE_TOL, _MIN_BOUND_TOL = 1e-10, 1e-12
 
 
-def pauli(j: int) -> np.ndarray:
-    """sigma_0 = I, sigma_1 = X, sigma_2 = Y, sigma_3 = Z."""
-    if not _is_integer(j) or j not in (0, 1, 2, 3):
-        raise DimensionError(f"Pauli index must be 0..3, got {j!r}")
-    return PAULI[j].copy()
-
-
 def wrap_phase(theta):
     """Reduce angles to the interval (-pi, pi]."""
     theta = _real_array(theta, "phase")
@@ -60,8 +53,8 @@ def assert_bloch(n) -> np.ndarray:
     n = _real_array(n, "Bloch vector")
     if n.shape != (4,):
         raise DimensionError(f"Bloch vector must have shape (4,), got {n.shape}")
-    # a component beyond _ENTRY_BOUND fails before n @ n can overflow
-    if not np.max(np.abs(n)) <= _ENTRY_BOUND:
+    # a component out of bounds fails before n @ n can overflow
+    if not _within_entry_bound(n):
         raise ContractError("Bloch vector is not on S^3: a component is not finite or beyond 2")
     if not abs(n @ n - 1.0) <= S3_TOL:
         raise ContractError(f"Bloch vector is not on S^3: |n|^2 = {float(n @ n)!r}")

@@ -45,6 +45,11 @@ ADVERSARIAL_ALPHAS = {
 ADVERSARIAL_SCALES = (0.0, 1e-14, 1e-10, 1e-7, 1e-5)
 
 
+def pauli(j):
+    """sigma_0 = I, sigma_1 = X, sigma_2 = Y, sigma_3 = Z, as a writable copy."""
+    return PAULI[j].copy()
+
+
 def write_matrix(m, path):
     """Write m as a JSON matrix file, the format the CLI reads."""
     Path(path).write_text(json.dumps(matrix_to_obj(m), indent=2, sort_keys=True) + "\n")

@@ -7,7 +7,7 @@ the stated tolerances are asserted as-is.
 import time
 
 import numpy as np
-from helpers import controlled_device, random_chamber_alpha, sv_norm_sq
+from helpers import controlled_device, pauli, random_chamber_alpha, sv_norm_sq
 
 from progchan import (
     ScanConfig,
@@ -36,7 +36,6 @@ from progchan import (
     verify_identities,
     worst_case_fidelity,
 )
-from progchan.pauli import pauli
 
 SIGN_PAIRS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from helpers import (
     matrix_unit_choi,
+    pauli,
     random_chamber_alpha,
     random_pure_density,
     spectral_kraus_family,
@@ -24,7 +25,6 @@ from progchan import (
     s_operator,
 )
 from progchan.channels import CHOI_RANK_CUTOFF, _choi_matrix
-from progchan.pauli import pauli
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 I4 = np.eye(4)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import is_unitary, random_chamber_alpha
+from helpers import is_unitary, pauli, random_chamber_alpha
 
 from progchan import (
     CanonicalForm,
@@ -23,7 +23,6 @@ from progchan import (
 )
 from progchan import circuits
 from progchan.circuits import cnot, gate_matrix, local, rotation
-from progchan.pauli import pauli
 
 I2 = np.eye(2, dtype=complex)
 

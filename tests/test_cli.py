@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import covariance_rows_loop, hadamard_rows_loop, scan_grid_loop, write_matrix
+from helpers import covariance_rows_loop, hadamard_rows_loop, pauli, scan_grid_loop, write_matrix
 
 from progchan import (
     ContractError,
@@ -22,7 +22,6 @@ from progchan import (
 )
 from progchan import cli
 from progchan.cli import main
-from progchan.pauli import pauli
 
 
 @pytest.fixture
@@ -360,7 +359,7 @@ class TestStackedLoops:
 
 
 class TestCountBounds:
-    """Counts too large to allocate exit 2 with their bound, never a traceback."""
+    """Counts out of range exit 2 with their bound, never a traceback."""
 
     @pytest.mark.parametrize(
         "argv, bound",
@@ -379,6 +378,11 @@ class TestCountBounds:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and bound in err
         assert "Traceback" not in err
+        assert not (files["tmp"] / "g.csv").exists()
+
+    def test_alpha_grid_below_two(self, files, capsys):
+        code, out, err = run(capsys, "scan", "--alpha-grid", "1", "--out", files["tmp"] / "g.csv")
+        assert (code, out, err) == (2, "", "error: --alpha-grid must be >= 2, got 1\n")
         assert not (files["tmp"] / "g.csv").exists()
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (
     ADVERSARIAL_ALPHAS,
     ADVERSARIAL_SCALES,
@@ -12,6 +14,7 @@ from helpers import (
 from progchan import (
     CanonicalForm,
     ContractError,
+    ScanConfig,
     canonical_gate,
     equal_up_to_global_phase,
     fidelity_uv,
@@ -19,6 +22,7 @@ from progchan import (
     hadamard_t,
     kraus_cirac_decompose,
     kron,
+    minimax_scan,
     optimal_interaction,
     theta_from_alpha,
     worst_case_fidelity,
@@ -33,6 +37,53 @@ MAKHLIN_BASIS = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0
 def in_chamber(alpha, tol=1e-12):
     a1, a2, a3 = alpha
     return np.pi / 4 + tol >= a1 >= a2 - tol and a2 >= abs(a3) - tol and a2 >= -tol
+
+
+def chamber_fold(alpha):
+    """rho: a point of pi/4 >= a1 >= a2 >= |a3| in alpha's local class, written
+    apart from the library's ``_ChamberReducer``.
+
+    Shifts by pi/2 bring each component into (-pi/4, pi/4]; a sort by modulus
+    and an even number of sign flips leave a1, a2 >= 0, with a3 carrying the
+    sign of the product.  On the quarter face a3 keeps that sign, so compare
+    with ``assert_same_class``.
+    """
+    a = np.asarray(alpha, dtype=float)
+    a = a - np.pi / 2 * np.ceil(a / (np.pi / 2) - 0.5)
+    mags = np.sort(np.abs(a))[::-1]
+    return mags * [1, 1, np.prod(np.sign(a)) or 1]
+
+
+def assert_same_class(got, want, atol=1e-9, name=""):
+    """Chamber points of one class, to atol: equal, or mirrored in the quarter face.
+
+    (pi/4 - d, a2, a3) is (pi/4 + d, a2, -a3) up to a shift and two flips, so
+    the mirror (pi/2 - a1, a2, -a3) lies in the same class, and near the face
+    the two chamber points of nearly one class lie 2 d apart.
+    """
+    mirror = np.array([np.pi / 2 - want[0], want[1], -want[2]])
+    assert min(np.abs(got - want).max(), np.abs(got - mirror).max()) <= atol, (name, got, want)
+
+
+# maps of three fractions onto the chamber (in units of pi/4), its faces and its optimal edge
+CHAMBER_FAMILIES = {
+    "chamber": lambda x, y, z: (x, x * y, x * y * (2 * z - 1)),
+    "quarter-face": lambda x, y, z: (1, y, y * (2 * z - 1)),
+    "a2-eq-abs-a3": lambda x, y, z: (x, x * y, x * y * (1 if z < 0.5 else -1)),
+    "a1-eq-a2": lambda x, y, z: (x, x, x * (2 * z - 1)),
+    "optimal-edge": lambda x, y, z: (1, 1, z),
+}
+unit = st.floats(0, 1)
+# any alpha, which the fold must bring into the chamber, the chamber's faces, and its corners
+alphas = st.one_of(
+    st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+    st.builds(
+        lambda name, *xyz: np.pi / 4 * np.array(CHAMBER_FAMILIES[name](*xyz)),
+        st.sampled_from(sorted(CHAMBER_FAMILIES)), unit, unit, unit,
+    ),
+    st.sampled_from(list(ADVERSARIAL_ALPHAS.values())),
+)
+seeds = st.integers(0, 2**32 - 1)
 
 
 def local_invariants(v):
@@ -199,3 +250,57 @@ class TestLocalInvariants:
             for step in 0.01 * np.eye(3):
                 gap = local_invariants(canonical_gate(alpha + step)) - local_invariants(canonical_gate(alpha))
                 assert np.max(np.abs(gap)) > 1e-6
+
+
+class TestChamberSymmetries:
+    """Five maps of V with known effects on its chamber point, against a test-side fold.
+
+    V^T, SWAP V SWAP, V^* and V^dag keep F, and SWAP V shifts alpha by
+    (pi/4)(1, 1, 1) (Zhang, Vala, Sastry & Whaley, PRA 67, 042313).  A wrong
+    move of the reducer changes alpha without changing F, so only alpha sees it.
+    """
+
+    @staticmethod
+    def chamber_point(v):
+        """alpha of v, which must lie in the chamber, with a3 >= 0 on the quarter face."""
+        alpha = kraus_cirac_decompose(v).alpha
+        assert in_chamber(alpha) and (np.pi / 4 - alpha[0] > 1e-12 or alpha[2] >= 0), alpha
+        return alpha
+
+    @settings(max_examples=60, deadline=None)
+    @given(alphas, seeds)
+    def test_alpha_of_each_image(self, alpha, seed):
+        v = dressed(alpha, np.random.default_rng(seed))
+        base = self.chamber_point(v)
+        # the decomposition folds as rho does, and each image moves alpha as rho predicts
+        images = {
+            "V": (v, chamber_fold(alpha)),
+            "V^T": (v.T, base),
+            "SWAP V SWAP": (SWAP @ v @ SWAP, base),
+            "V^*": (v.conj(), chamber_fold(-base)),
+            "V^dag": (v.conj().T, chamber_fold(-base)),
+            "SWAP V": (SWAP @ v, chamber_fold(base + np.pi / 4)),
+        }
+        for name, (image, want) in images.items():
+            assert_same_class(self.chamber_point(image), want, name=name)
+
+    @settings(max_examples=25, deadline=None)
+    @given(alphas, seeds)
+    def test_fidelity_of_each_image(self, alpha, seed):
+        v = dressed(alpha, np.random.default_rng(seed))
+        images = (v.T, v.conj(), v.conj().T, SWAP @ v @ SWAP)
+        f = worst_case_fidelity(v).fidelity
+        for image in images:
+            assert abs(worst_case_fidelity(image).fidelity - f) <= 1e-12
+        # SWAP V has its own F, the closed form's at the shifted alpha
+        shifted = chamber_fold(chamber_fold(alpha) + np.pi / 4)
+        closed = float(np.min(hadamard_t(theta_from_alpha(shifted)).moduli ** 2) / 4.0)
+        assert abs(worst_case_fidelity(SWAP @ v).fidelity - closed) <= 1e-12
+        # the oracle uses no alpha: on each image its bound is F, and its
+        # minimum the same to the witness's gap (up to 1e-7 where Q_0's
+        # spectrum nearly ties)
+        config = ScanConfig(resolution=100)
+        results = [minimax_scan(image, config) for image in (v, *images)]
+        for result in results:
+            assert abs(result.lower_bound - f) <= 1e-14
+            assert abs(result.f_min - results[0].f_min) <= 1e-7

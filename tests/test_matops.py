@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import brute_partial_trace
+from helpers import brute_partial_trace, pauli
 
 from progchan import (
     CanonicalForm,
@@ -45,7 +45,7 @@ from progchan.matops import (
     hermitian_eig,
 )
 from progchan.minimax import alpha_from_theta
-from progchan.pauli import hadamard_t_contract, pauli, wrap_phase
+from progchan.pauli import hadamard_t_contract, wrap_phase
 
 I2 = np.eye(2)
 I4 = np.eye(4)

